@@ -63,28 +63,11 @@ class LPAConfig:
         Hashtable value dtype, fp32 (paper default) or fp64 (Figure 5).
     pruning:
         Vertex pruning: skip vertices none of whose neighbours changed.
-    workspace_arena:
-        Serve every per-wave scratch array from a reusable
-        :class:`~repro.perf.workspace.WorkspaceArena` so steady-state
-        iterations are allocation-free.  Results are bit-identical with
-        the arena off (the differential tests assert it); the switch
-        exists for those tests and for debugging buffer-lifetime issues.
     shared_memory_tables:
         Place the hashtables of sufficiently-low-degree thread-kernel
         vertices in per-SM shared memory instead of the global buffers.
         The paper tried this and "saw little to no performance gain"
         (ablation A3); off by default, like the paper's final design.
-    fused_sweep:
-        Fuse the per-wave clear → insert → max-key hashtable sweeps into
-        one kernel-model pass: tables start (and are left) clean, the
-        accumulate rounds record which slots they claim, and a single
-        fused reduction scans only the claimed slots before re-clearing
-        them.  Labels and :class:`~repro.gpu.counters.KernelCounters` are
-        bit-identical with the unfused path (the differential tests
-        assert it); the switch exists for those tests.  Automatically
-        bypassed while a fault hook is attached, because injected
-        corruption must land on the same buffers the unfused sweeps
-        touch.
     persistent_kernel:
         Model a persistent (mega-)kernel: each kernel kind pays its
         launch overhead once per run instead of once per iteration, and
@@ -137,9 +120,7 @@ class LPAConfig:
     probing: ProbeStrategy = ProbeStrategy.QUADRATIC_DOUBLE
     value_dtype: type = VALUE_DTYPE_F32
     pruning: bool = True
-    workspace_arena: bool = True
     shared_memory_tables: bool = False
-    fused_sweep: bool = True
     persistent_kernel: bool = False
     compact_layout: bool = True
     degree_renumber: bool = False

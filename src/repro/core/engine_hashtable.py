@@ -40,8 +40,6 @@ from repro.observe.trace import (
 )
 from repro.hashing.hashtable import PerVertexHashtables
 from repro.hashing.parallel_hashtable import (
-    SlotTracker,
-    fused_max_and_clear,
     parallel_accumulate,
     segmented_clear,
     segmented_max_key,
@@ -49,7 +47,6 @@ from repro.hashing.parallel_hashtable import (
 from repro.hashing.probing import ProbeStrategy
 from repro.perf.workspace import WorkspaceArena, compact, iota, take
 from repro.resilience.faults import FaultContext
-from repro.types import EMPTY_KEY
 
 __all__ = ["MoveOutcome", "HashtableEngine"]
 
@@ -84,6 +81,8 @@ class HashtableEngine:
     #: Optional resilience hook (see :mod:`repro.resilience.faults`): called
     #: with a :class:`FaultContext` at the accumulate and reduce points of
     #: every wave.  ``None`` (the default) costs one attribute test per wave.
+    #: A hooked engine clears each wave's tables up front and leaves the
+    #: residue behind, so the hook is attached for the engine's lifetime.
     fault_hook = None
 
     #: Optional :class:`~repro.observe.trace.Tracer`: receives kernel-launch
@@ -100,17 +99,13 @@ class HashtableEngine:
     def __init__(self, graph: CSRGraph, config: LPAConfig) -> None:
         self.graph = graph
         self.config = config
-        self.arena = WorkspaceArena() if config.workspace_arena else None
+        self.arena = WorkspaceArena()
         # Loop-free graphs (the common case; checked once, cached on the
         # graph) skip the per-wave self-loop filter entirely.
         self._loop_free = not graph.has_self_loops
         self.tables = PerVertexHashtables(
             graph, value_dtype=config.value_dtype, strategy=config.probing
         )
-        # Fused sweep: the accumulate rounds record their claimed slots
-        # here so one fused pass can reduce and re-clear them (the flat
-        # buffers start all-empty, so no up-front clear is needed either).
-        self._tracker = SlotTracker() if config.fused_sweep else None
         # Persistent-kernel mode: kinds whose one-time launch cost has
         # been paid (each kernel stays resident after its first launch).
         self._launched: set[KernelKind] = set()
@@ -186,8 +181,6 @@ class HashtableEngine:
             except Exception:
                 self.tables = build(old_scale)
                 governor.reserve("hashtable", freed)
-                if self._tracker is not None:
-                    self._tracker.reset()
                 raise
         self.tables = tables
         #: Byte report of the newest regrow/shrink (the ledger's receipt).
@@ -196,10 +189,6 @@ class HashtableEngine:
             "freed_bytes": freed,
             "claimed_bytes": claimed,
         }
-        if self._tracker is not None:
-            # The fresh buffers are all-empty; stale claims must not be
-            # re-cleared (or reduced) against the new layout.
-            self._tracker.reset()
         return scale
 
     def release_memory(self) -> int:
@@ -387,46 +376,22 @@ class HashtableEngine:
         p2 = take(arena, "hw.p2", w, np.int64)
         self.tables.secondary_primes.take(wave, out=p2, mode="clip")
 
-        if self.fault_hook is not None:
+        # Tables enter the wave clean (the init fill, or the previous
+        # wave's clear-at-end), so by default the clear runs after the
+        # reduce, through the reduce's own flat index.  Under a fault hook
+        # it runs up front instead, as the paper's kernel does, so injected
+        # corruption and the spot audit's inter-wave residue land on the
+        # same buffers as always.  Either way the kernel model prices one
+        # full clear of the wave's tables.
+        keys, values = self.tables.keys, self.tables.values
+        hooked = self.fault_hook is not None
+        if hooked:
             self.fault_hook(self._fault_context("accumulate", kind, wave, labels, base, p1))
-
-        # Fused sweep: tables are already clean (the init fill / the
-        # previous wave's clear-at-end), so the up-front clear is skipped
-        # and the accumulate records its claimed slots for one fused
-        # reduce+clear pass.  Slot-clear accounting is unchanged — the
-        # kernel model still prices the full per-table clear the GPU's
-        # fused kernel performs in-register.  Bypassed under a fault
-        # hook: injected corruption must land on the unfused buffers.
-        fused = self._tracker is not None and self.fault_hook is None
-        if fused:
-            cleared = int(p1.sum())
-            try:
-                acc = parallel_accumulate(
-                    self.tables.keys,
-                    self.tables.values,
-                    base,
-                    p1,
-                    p2,
-                    entry_table,
-                    entry_key,
-                    entry_value,
-                    self.config.probing,
-                    shared=kind.uses_atomics,
-                    arena=arena,
-                    claimed=self._tracker,
-                )
-            except BaseException:
-                # Restore the tables-start-clean invariant before the
-                # resilience ladder retries or regrows.
-                self._scrub_claimed()
-                raise
-        else:
-            cleared = segmented_clear(
-                self.tables.keys, self.tables.values, base, p1, arena
-            )
+            segmented_clear(keys, values, base, p1, arena)
+        try:
             acc = parallel_accumulate(
-                self.tables.keys,
-                self.tables.values,
+                keys,
+                values,
                 base,
                 p1,
                 p2,
@@ -437,51 +402,30 @@ class HashtableEngine:
                 shared=kind.uses_atomics,
                 arena=arena,
             )
-        warp_serial = self._warp_critical_path(
-            kind, wave, entry_table, edge_rank, acc.entry_probes
-        )
-
-        if self.fault_hook is not None:
-            self.fault_hook(self._fault_context("reduce", kind, wave, labels, base, p1))
-
-        fallback = take(arena, "hw.fb", w, labels.dtype)
-        labels.take(wave, out=fallback, mode="clip")
-        if fused and 4 * len(self._tracker) < cleared:
-            best = fused_max_and_clear(
-                self.tables.keys,
-                self.tables.values,
-                fallback,
-                self._tracker,
-                arena=arena,
-                out=take(arena, "hw.best", w, labels.dtype),
+            warp_serial = self._warp_critical_path(
+                kind, wave, entry_table, edge_rank, acc.entry_probes
             )
-        elif fused:
-            # Dense tables (claimed ≳ 1/4 of the live region): the packed
-            # sort in the fused sweep costs more than a straight segmented
-            # scan, so reduce segment-wise and restore the clean-tables
-            # invariant by scattering only the claimed slots.  Either
-            # branch yields bit-identical labels; the threshold is purely
-            # a speed heuristic.
+            if hooked:
+                self.fault_hook(self._fault_context("reduce", kind, wave, labels, base, p1))
+            fallback = take(arena, "hw.fb", w, labels.dtype)
+            labels.take(wave, out=fallback, mode="clip")
             best = segmented_max_key(
-                self.tables.keys,
-                self.tables.values,
+                keys,
+                values,
                 base,
                 p1,
                 fallback,
                 arena=arena,
                 out=take(arena, "hw.best", w, labels.dtype),
+                clear=not hooked,
             )
-            self._scrub_claimed()
-        else:
-            best = segmented_max_key(
-                self.tables.keys,
-                self.tables.values,
-                base,
-                p1,
-                fallback,
-                arena=arena,
-                out=take(arena, "hw.best", w, labels.dtype),
-            )
+        except BaseException:
+            if not hooked:
+                # Hand the resilience ladder's retry clean tables.  No
+                # arena: the wave may have failed growing one.
+                segmented_clear(keys, values, base, p1)
+            raise
+        cleared = int(p1.sum())
 
         adopt = pick_less_filter(
             fallback,
@@ -539,17 +483,6 @@ class HashtableEngine:
             smem_probes=smem_probes,
         )
         return adopters
-
-    # ------------------------------------------------------------------ #
-
-    def _scrub_claimed(self) -> None:
-        """Re-empty every slot the aborted accumulate claimed."""
-        tracker = self._tracker
-        if tracker is not None and len(tracker):
-            slots, _ = tracker.views()
-            self.tables.keys[slots] = EMPTY_KEY
-            self.tables.values[slots] = 0
-            tracker.reset()
 
     # ------------------------------------------------------------------ #
 

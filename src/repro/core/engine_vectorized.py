@@ -17,9 +17,9 @@ engine exists for speed, not for the cost model — experiments use the
 hashtable engine.
 
 Every scratch array of the per-wave hot path comes from the engine's
-:class:`~repro.perf.workspace.WorkspaceArena` (``config.workspace_arena``);
-steady-state waves therefore allocate nothing, and the arena-off path runs
-the *same* arithmetic on fresh buffers, so the two are bit-identical.
+:class:`~repro.perf.workspace.WorkspaceArena`; steady-state waves therefore
+allocate nothing, and an arena-less engine (``arena = None``) runs the
+*same* arithmetic on fresh buffers, so the two are bit-identical.
 """
 
 from __future__ import annotations
@@ -330,7 +330,7 @@ class VectorizedEngine:
     def __init__(self, graph: CSRGraph, config: LPAConfig) -> None:
         self.graph = graph
         self.config = config
-        self.arena = WorkspaceArena() if config.workspace_arena else None
+        self.arena = WorkspaceArena()
         self._accum_dtype = np.dtype(config.value_dtype)
         # Loop-free graphs (the common case; checked once, cached on the
         # graph) skip the per-wave self-loop filter entirely.

@@ -22,8 +22,7 @@ slow as its unluckiest lane).
 Every function takes an optional :class:`~repro.perf.workspace.
 WorkspaceArena`; with one attached the whole wave runs without heap
 allocation (slot prefixes: ``pa.`` accumulate, ``seg.`` segment indexing,
-``smk.`` max-key, ``fz.`` fused sweep).  Results are bit-identical either
-way — two details are
+``smk.`` max-key).  Results are bit-identical either way — two details are
 load-bearing and argued inline: the reversed-scatter CAS winner and the
 sorted-run conflict count, each of which replaces an ``np.unique``.
 """
@@ -41,9 +40,7 @@ from repro.perf.workspace import WorkspaceArena, compact, iota, take
 from repro.types import EMPTY_KEY
 
 __all__ = [
-    "SlotTracker",
     "WaveAccumulateResult",
-    "fused_max_and_clear",
     "parallel_accumulate",
     "segmented_clear",
     "segmented_max_key",
@@ -51,9 +48,6 @@ __all__ = [
 ]
 
 _INT64_MAX = np.int64(np.iinfo(np.int64).max)
-
-#: Minimum SlotTracker backing capacity; avoids churn on tiny waves.
-_MIN_TRACKER_CAPACITY = 16
 
 #: Two's-complement int64 wraparound constants for the scalar tail.
 _U64_SPAN = 1 << 64
@@ -65,58 +59,6 @@ _I64_BIAS = 1 << 63
 #: run *hundreds* of rounds with a handful of stragglers; below this size
 #: plain Python arithmetic is cheaper than the dispatch overhead.
 _SCALAR_TAIL_MAX = 32
-
-
-class SlotTracker:
-    """Append-only record of the flat slots a wave's accumulate claimed.
-
-    The fused sweep (:func:`fused_max_and_clear`) needs to know which
-    slots hold data without re-scanning every live slot of every table.
-    Because tables start clean and only an ``atomicCAS`` ever writes a
-    key, the occupied set after accumulation is exactly the set of slots
-    the CAS rounds claimed — :func:`parallel_accumulate` appends them
-    here as they happen.  Within-round duplicates (several lanes racing
-    for one slot) are recorded as-is; they are harmless to both the
-    reduction and the clear, and cross-round duplicates are impossible
-    because a claimed slot never reads as empty again.
-
-    The backing arrays grow geometrically and are reused across waves
-    (``reset`` just rewinds the count), so steady-state appends are
-    plain slice assignments with no heap allocation.
-    """
-
-    __slots__ = ("_slots", "_tables", "_count")
-
-    def __init__(self) -> None:
-        self._slots = np.empty(_MIN_TRACKER_CAPACITY, dtype=np.int64)
-        self._tables = np.empty(_MIN_TRACKER_CAPACITY, dtype=np.int64)
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def append(self, slots: np.ndarray, tables: np.ndarray) -> None:
-        """Record ``slots`` (flat buffer indices) claimed for ``tables``."""
-        n = slots.shape[0]
-        need = self._count + n
-        if need > self._slots.shape[0]:
-            capacity = max(need, 2 * self._slots.shape[0])
-            grown_slots = np.empty(capacity, dtype=np.int64)
-            grown_slots[: self._count] = self._slots[: self._count]
-            grown_tables = np.empty(capacity, dtype=np.int64)
-            grown_tables[: self._count] = self._tables[: self._count]
-            self._slots, self._tables = grown_slots, grown_tables
-        self._slots[self._count : need] = slots
-        self._tables[self._count : need] = tables
-        self._count = need
-
-    def views(self) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-copy ``(slots, tables)`` views of everything recorded."""
-        return self._slots[: self._count], self._tables[: self._count]
-
-    def reset(self) -> None:
-        """Forget all recorded slots (buffers are kept for reuse)."""
-        self._count = 0
 
 
 @dataclass
@@ -155,7 +97,6 @@ def _scalar_tail(
     keys_buf: np.ndarray,
     values_buf: np.ndarray,
     keys: np.ndarray,
-    entry_table: np.ndarray,
     entry_value: np.ndarray,
     probe_i: np.ndarray,
     probe_di: np.ndarray,
@@ -167,7 +108,6 @@ def _scalar_tail(
     result: WaveAccumulateResult,
     strategy: ProbeStrategy,
     shared: bool,
-    claimed: "SlotTracker | None",
     start_round: int,
     max_retries: int,
 ) -> None:
@@ -183,7 +123,7 @@ def _scalar_tail(
     counters, and probe statistics are bit-identical either way.
     """
     # Per-entry state as plain Python scalars: [entry, key, i, di, p1, p2,
-    # base, table, value].  The value stays a NumPy scalar so the adds run
+    # base, value].  The value stays a NumPy scalar so the adds run
     # in the buffer's dtype, exactly like ``np.add.at``.
     state = [
         [
@@ -194,7 +134,6 @@ def _scalar_tail(
             int(p1_of[e]),
             int(p2_of[e]),
             int(base_of[e]),
-            int(entry_table[e]),
             entry_value[e],
         ]
         for e in pending.tolist()
@@ -202,78 +141,64 @@ def _scalar_tail(
     quad = strategy is ProbeStrategy.QUADRATIC
     quad_double = strategy is ProbeStrategy.QUADRATIC_DOUBLE
     empty = int(EMPTY_KEY)
-    claimed_slots: list[int] = []
-    claimed_tables: list[int] = []
     round_no = start_round
-    try:
-        while True:
-            if round_no > max_retries:
-                raise HashtableFullError(
-                    f"{len(state)} entries unplaced after {max_retries} "
-                    f"probe rounds (strategy={strategy.value})"
-                )
-            result.total_probes += len(state)
-            result.rounds = round_no
-            num_empty = 0
-            slots = []
-            placed: dict[int, int] = {}
-            for ent in state:
-                s = ent[6] + ent[2] % ent[4]
-                slots.append(s)
-                probes_done[ent[0]] = round_no
-                if int(keys_buf[s]) == empty:
-                    num_empty += 1
-                    if s not in placed:
-                        placed[s] = ent[1]
-                    if claimed is not None:
-                        claimed_slots.append(s)
-                        claimed_tables.append(ent[7])
-            for s, key in placed.items():
-                keys_buf[s] = key
-            if shared:
-                result.cas_attempts += num_empty
-
-            retry = []
-            succ_slots = []
-            for ent, s in zip(state, slots):
-                if int(keys_buf[s]) == ent[1]:
-                    values_buf[s] += ent[8]
-                    succ_slots.append(s)
-                else:
-                    retry.append(ent)
-            ns = len(succ_slots)
-            if shared and ns:
-                result.atomic_adds += ns
-                result.atomic_conflicts += ns - len(set(succ_slots))
-            if not retry:
-                return
-
-            for ent in retry:
-                i, di = ent[2], ent[3]
-                if quad_double:
-                    nd = 2 * di + ent[1] % ent[5]
-                elif quad:
-                    nd = 2 * di
-                else:
-                    nd = di
-                # Completeness fallback: step-1 linear sweep after p1 probes.
-                ni = i + 1 if ent[4] <= round_no else i + di
-                # The vectorised rounds run int64 arithmetic, which wraps
-                # after ~60 doubling rounds; Python ints don't, so emulate
-                # the wrap (floor-mod keeps negative i valid in the slot
-                # computation, same as np.remainder).
-                ent[2] = (ni + _I64_BIAS) % _U64_SPAN - _I64_BIAS
-                ent[3] = (nd + _I64_BIAS) % _U64_SPAN - _I64_BIAS
-            state = retry
-            round_no += 1
-    finally:
-        # Flush even when raising HashtableFullError: the engine's scrub
-        # path re-empties exactly the tracker's slots.
-        if claimed is not None and claimed_slots:
-            claimed.append(
-                np.asarray(claimed_slots, dtype=np.int64),
-                np.asarray(claimed_tables, dtype=np.int64),
+    while True:
+        if round_no > max_retries:
+            raise HashtableFullError(
+                f"{len(state)} entries unplaced after {max_retries} "
+                f"probe rounds (strategy={strategy.value})"
             )
+        result.total_probes += len(state)
+        result.rounds = round_no
+        num_empty = 0
+        slots = []
+        placed: dict[int, int] = {}
+        for ent in state:
+            s = ent[6] + ent[2] % ent[4]
+            slots.append(s)
+            probes_done[ent[0]] = round_no
+            if int(keys_buf[s]) == empty:
+                num_empty += 1
+                if s not in placed:
+                    placed[s] = ent[1]
+        for s, key in placed.items():
+            keys_buf[s] = key
+        if shared:
+            result.cas_attempts += num_empty
+
+        retry = []
+        succ_slots = []
+        for ent, s in zip(state, slots):
+            if int(keys_buf[s]) == ent[1]:
+                values_buf[s] += ent[7]
+                succ_slots.append(s)
+            else:
+                retry.append(ent)
+        ns = len(succ_slots)
+        if shared and ns:
+            result.atomic_adds += ns
+            result.atomic_conflicts += ns - len(set(succ_slots))
+        if not retry:
+            return
+
+        for ent in retry:
+            i, di = ent[2], ent[3]
+            if quad_double:
+                nd = 2 * di + ent[1] % ent[5]
+            elif quad:
+                nd = 2 * di
+            else:
+                nd = di
+            # Completeness fallback: step-1 linear sweep after p1 probes.
+            ni = i + 1 if ent[4] <= round_no else i + di
+            # The vectorised rounds run int64 arithmetic, which wraps
+            # after ~60 doubling rounds; Python ints don't, so emulate
+            # the wrap (floor-mod keeps negative i valid in the slot
+            # computation, same as np.remainder).
+            ent[2] = (ni + _I64_BIAS) % _U64_SPAN - _I64_BIAS
+            ent[3] = (nd + _I64_BIAS) % _U64_SPAN - _I64_BIAS
+        state = retry
+        round_no += 1
 
 
 def parallel_accumulate(
@@ -292,7 +217,6 @@ def parallel_accumulate(
     num_warps: int = 0,
     max_retries: int = MAX_RETRIES,
     arena: WorkspaceArena | None = None,
-    claimed: SlotTracker | None = None,
 ) -> WaveAccumulateResult:
     """Accumulate all ``(entry_key, entry_value)`` pairs into their tables.
 
@@ -318,12 +242,6 @@ def parallel_accumulate(
         accounting.
     arena:
         Optional scratch arena (``pa.`` slots) for allocation-free rounds.
-    claimed:
-        Optional :class:`SlotTracker`; when given, every slot an
-        ``atomicCAS`` claims is appended (with its wave-local table id)
-        so :func:`fused_max_and_clear` can reduce and re-clear exactly
-        the occupied slots.  The accumulate arithmetic — and therefore
-        every statistic — is unchanged by the tracker.
     """
     n = entry_key.shape[0]
     result = WaveAccumulateResult()
@@ -368,10 +286,10 @@ def parallel_accumulate(
         num_pending = pending.shape[0]
         if num_pending <= _SCALAR_TAIL_MAX:
             _scalar_tail(
-                keys_buf, values_buf, keys, entry_table, entry_value,
+                keys_buf, values_buf, keys, entry_value,
                 probe_i, probe_di, p1_of, p2_of, base_of,
                 pending, probes_done, result, strategy, shared,
-                claimed, round_no, max_retries,
+                round_no, max_retries,
             )
             break
         if round_no == 1:
@@ -418,20 +336,7 @@ def parallel_accumulate(
             # competitors in *reverse* makes the earliest write land last,
             # so the final buffer equals the unique-first-winner result
             # without computing np.unique.
-            if claimed is None:
-                se, ke = compact(arena, "pa.se", empty, num_empty, slots, k)
-            else:
-                if round_no == 1:
-                    # First round: pending is the identity, so the table
-                    # column needs no gather.
-                    tp = entry_table
-                else:
-                    tp = take(arena, "pa.tp", num_pending, entry_table.dtype)
-                    entry_table.take(pending, out=tp, mode="clip")
-                se, ke, te = compact(
-                    arena, "pa.se", empty, num_empty, slots, k, tp
-                )
-                claimed.append(se, te)
+            se, ke = compact(arena, "pa.se", empty, num_empty, slots, k)
             keys_buf[se[::-1]] = ke[::-1]
             if shared:
                 result.cas_attempts += num_empty
@@ -582,6 +487,7 @@ def segmented_max_key(
     *,
     arena: WorkspaceArena | None = None,
     out: np.ndarray | None = None,
+    clear: bool = False,
 ) -> np.ndarray:
     """``hashtableMaxKey`` for every table of a wave.
 
@@ -590,6 +496,10 @@ def segmented_max_key(
     ``fallback[t]`` for tables with no occupied slot.  The comparison runs
     in float64 regardless of the value dtype, exactly like the division-free
     max reduction the paper's kernel performs in registers.
+
+    With ``clear=True`` the reduced region is then re-emptied through the
+    same flat index — ``hashtableClear`` moved to the end of the wave,
+    without building the segment index a second time.
     """
     if out is None:
         out = np.empty_like(fallback)
@@ -640,107 +550,7 @@ def segmented_max_key(
         found_key = take(arena, "smk.fkey", num_found, np.int64)
         keys_buf.take(found_slot, out=found_key, mode="clip")
         out[has_any] = found_key
-    return out
-
-
-def fused_max_and_clear(
-    keys_buf: np.ndarray,
-    values_buf: np.ndarray,
-    fallback: np.ndarray,
-    tracker: SlotTracker,
-    *,
-    arena: WorkspaceArena | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Fused ``hashtableMaxKey`` + ``hashtableClear`` over the claimed slots.
-
-    The fused-sweep kernel model: instead of scanning every live slot of
-    every wave table once to reduce (``segmented_max_key``) and once to
-    clear (``segmented_clear``), a single pass visits only the slots the
-    accumulate rounds claimed (recorded in ``tracker``), finds each
-    table's winner, and resets those slots to empty — restoring the
-    tables-start-clean invariant the next wave relies on.
-
-    Bit-identity with the unfused pair: tables entered the wave clean and
-    only an ``atomicCAS`` writes a key, so the claimed set *is* the
-    occupied set; the unfused reduction masks vacant slots to ``-inf``
-    and therefore reduces over exactly the same values.  The tie-break
-    (lowest slot holding the maximum, in float64 comparison) is preserved
-    because within one table the absolute slot order equals the
-    within-table rank order.  Tables with no claimed slot keep
-    ``fallback[t]``, exactly like tables with no occupied slot.
-
-    Sorting the ``(table, slot)`` pairs — packed into one int64 when the
-    bit widths allow, which they always do at simulatable sizes — groups
-    each table's slots contiguously so the winner falls out of two
-    ``reduceat`` calls, mirroring the unfused reduction's arithmetic.
-
-    ``tracker`` is reset before returning.  With an arena (``fz.``
-    slots) the whole pass is allocation-free.
-    """
-    if out is None:
-        out = np.empty_like(fallback)
-    np.copyto(out, fallback)
-    ns = len(tracker)
-    if ns == 0:
-        tracker.reset()
-        return out
-    slots, tables = tracker.views()
-
-    sbits = int(keys_buf.shape[0] - 1).bit_length()
-    tbits = int(fallback.shape[0] - 1).bit_length()
-    if tbits + sbits <= 63:
-        comp = take(arena, "fz.comp", ns, np.int64)
-        np.left_shift(tables, np.int64(sbits), out=comp)
-        np.bitwise_or(comp, slots, out=comp)
-        comp.sort()
-        t = take(arena, "fz.t", ns, np.int64)
-        np.right_shift(comp, np.int64(sbits), out=t)
-        s = take(arena, "fz.s", ns, np.int64)
-        np.bitwise_and(comp, np.int64((1 << sbits) - 1), out=s)
-    else:  # pragma: no cover - needs a >2^63 packed id space
-        order = np.lexsort((slots, tables))
-        t = tables[order]
-        s = slots[order]
-
-    first = take(arena, "fz.first", ns, bool)
-    first[0] = True
-    if ns > 1:
-        np.not_equal(t[1:], t[:-1], out=first[1:])
-    num_groups = int(np.count_nonzero(first))
-    gstart = compact(arena, "fz.gs", first, num_groups, iota(arena, ns))
-
-    # Claimed slots are all occupied, so no vacancy mask is needed; the
-    # comparison still runs in float64 like the unfused reduction.
-    raw = take(arena, "fz.vraw", ns, values_buf.dtype)
-    values_buf.take(s, out=raw, mode="clip")
-    vals = take(arena, "fz.v", ns, np.float64)
-    np.copyto(vals, raw, casting="unsafe")
-    gmax = take(arena, "fz.gmax", num_groups, np.float64)
-    np.maximum.reduceat(vals, gstart, out=gmax)
-
-    gid = take(arena, "fz.gid", ns, np.int64)
-    np.copyto(gid, first, casting="unsafe")
-    np.cumsum(gid, out=gid)
-    np.subtract(gid, 1, out=gid)
-    spread = take(arena, "fz.spread", ns, np.float64)
-    gmax.take(gid, out=spread, mode="clip")
-    not_max = take(arena, "fz.nmax", ns, bool)
-    np.not_equal(vals, spread, out=not_max)
-    candidate = take(arena, "fz.cand", ns, np.int64)
-    np.copyto(candidate, s)
-    candidate[not_max] = _INT64_MAX
-    winner_slot = take(arena, "fz.win", num_groups, np.int64)
-    np.minimum.reduceat(candidate, gstart, out=winner_slot)
-
-    winner_key = take(arena, "fz.wkey", num_groups, np.int64)
-    keys_buf.take(winner_slot, out=winner_key, mode="clip")
-    gtable = take(arena, "fz.gt", num_groups, np.int64)
-    t.take(gstart, out=gtable, mode="clip")
-    out[gtable] = winner_key
-
-    # Clear-at-end: hand the next wave clean tables.
-    keys_buf[s] = EMPTY_KEY
-    values_buf[s] = 0
-    tracker.reset()
+    if clear:
+        keys_buf[flat] = EMPTY_KEY
+        values_buf[flat] = 0
     return out

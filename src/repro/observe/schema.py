@@ -53,7 +53,7 @@ BENCH_SCHEMA = "repro.observe/bench"
 #: (vectorized engine) and a document-level ``calibration_seconds`` that
 #: normalises wall clocks across machines.  v3 adds per-graph
 #: ``wall_seconds_hashtable`` (the ν-LPA hashtable engine's wall clock)
-#: so the fused-sweep/compact-layout hot path is gated alongside the
+#: so the clean-tables-sweep/compact-layout hot path is gated alongside the
 #: vectorized engine.
 BENCH_SCHEMA_VERSION = 3
 

@@ -12,7 +12,7 @@
   the *calibration-normalised total*: ``sum(wall) / calibration`` is a
   machine-free throughput figure comparable across hosts.  Schema v3
   adds ``wall_seconds_hashtable`` (the ν-LPA hashtable engine) gated the
-  same way, so regressions on the fused-sweep hot path fail CI too.
+  same way, so regressions on the hashtable hot path fail CI too.
 
 :func:`compare_to_baseline` returns a list of regression messages; an
 empty list is a pass.  CI fails the ``perf-gate`` job on any message.

@@ -1,12 +1,12 @@
-"""Differential suite for the fused-sweep / compact-layout hot paths.
+"""Differential suite for the clean-tables sweep / compact-layout hot paths.
 
-PR 9's contract is that none of its performance levers change *what* is
-computed:
+None of the performance levers may change *what* is computed:
 
-* ``fused_sweep`` replaces the clear → insert → max hashtable sweeps with
-  one fused kernel (tables start clean, CAS-claimed slots are scrubbed
-  after the max) — labels, per-iteration stats, and every kernel counter
-  must match the unfused path bit for bit;
+* the hashtable engine's default sweep accumulates into clean tables and
+  re-empties them after the max-key reduce, while under a fault hook the
+  clear runs up front (the reference path, reached here through a no-op
+  hook) — labels, per-iteration stats, and every kernel counter must
+  match bit for bit;
 * ``compact_layout`` shrinks offsets/targets/labels to 32 bits when the
   graph fits — same values, half the bytes;
 * ``persistent_kernel`` only re-prices launches in the cost model — the
@@ -17,7 +17,7 @@ computed:
 
 These tests pin that contract across both engines, every probing
 strategy, and arena on/off, and extend the steady-state ``tracemalloc``
-proof to the fused hashtable path.
+proof to the default hashtable path.
 """
 
 import tracemalloc
@@ -25,85 +25,105 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.config import LPAConfig
+from repro.core import engine_hashtable as engine_mod
+from repro.core.config import LPAConfig, ResilienceConfig
 from repro.core.lpa import make_engine, nu_lpa
 from repro.core.pruning import Frontier
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, HashtableFullError
 from repro.graph.generators import rmat_graph, watts_strogatz, web_graph
 from repro.hashing.probing import ProbeStrategy
-from repro.types import VERTEX_DTYPE
-
-ENGINES = ["vectorized", "hashtable"]
-
-
-def _run(graph, engine, **config_kwargs):
-    return nu_lpa(
-        graph,
-        LPAConfig(**config_kwargs),
-        engine=engine,
-        warn_on_no_convergence=False,
-    )
-
-
-def _assert_identical(a, b, context):
-    assert np.array_equal(a.labels, b.labels), context
-    assert len(a.iterations) == len(b.iterations), context
-    for it_a, it_b in zip(a.iterations, b.iterations):
-        assert it_a.changed == it_b.changed, context
-        assert it_a.processed == it_b.processed, context
-        assert it_a.reverted == it_b.reverted, context
-        assert it_a.counters.as_dict() == it_b.counters.as_dict(), context
+from repro.resilience.faults import FaultSpec
+from repro.types import EMPTY_KEY, VERTEX_DTYPE
+from tests.core.differential import ENGINES, assert_identical, run
 
 
 class TestFusedSweepDifferential:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("arena", [True, False])
     def test_bit_identical_labels_and_counters(self, small_web, engine, arena):
-        fused = _run(small_web, engine, fused_sweep=True, workspace_arena=arena)
-        plain = _run(small_web, engine, fused_sweep=False, workspace_arena=arena)
-        _assert_identical(fused, plain, f"{engine}, arena={arena}")
+        fast = run(small_web, engine, arena=arena)
+        reference = run(small_web, engine, arena=arena, hook=True)
+        assert_identical(fast, reference, f"{engine}, arena={arena}")
 
     @pytest.mark.parametrize("probing", list(ProbeStrategy))
     def test_bit_identical_across_probing_strategies(self, small_social, probing):
-        fused = _run(small_social, "hashtable", fused_sweep=True, probing=probing)
-        plain = _run(small_social, "hashtable", fused_sweep=False, probing=probing)
-        _assert_identical(fused, plain, probing.value)
+        fast = run(small_social, "hashtable", probing=probing)
+        reference = run(small_social, "hashtable", hook=True, probing=probing)
+        assert_identical(fast, reference, probing.value)
 
-    def test_dense_tables_take_segmented_branch(self):
-        # Uniform-degree ring lattice: occupancy is high enough that the
-        # adaptive heuristic prefers segmented-max + claimed-slot scrub
-        # over the packed sort.  Both fused branches must still agree
-        # with the unfused path.
+    def test_dense_ring_lattice(self):
+        # Uniform-degree ring lattice: claimed slots fill most of each
+        # table's live region.
         graph = watts_strogatz(2000, 10, 0.05, seed=5)
-        fused = _run(graph, "hashtable", fused_sweep=True)
-        plain = _run(graph, "hashtable", fused_sweep=False)
-        _assert_identical(fused, plain, "watts_strogatz dense branch")
+        fast = run(graph, "hashtable")
+        reference = run(graph, "hashtable", hook=True)
+        assert_identical(fast, reference, "watts_strogatz")
 
     def test_scalar_tail_graph(self):
         # Heavy-tailed graph small enough that waves finish in the scalar
         # tail (pending <= _SCALAR_TAIL_MAX) almost immediately.
         graph = rmat_graph(6, 4, seed=3)
-        fused = _run(graph, "hashtable", fused_sweep=True)
-        plain = _run(graph, "hashtable", fused_sweep=False)
-        _assert_identical(fused, plain, "scalar tail")
+        fast = run(graph, "hashtable")
+        reference = run(graph, "hashtable", hook=True)
+        assert_identical(fast, reference, "scalar tail")
+
+
+class TestAbortedAccumulate:
+    # An accumulate that raises, or a reduce that fails before it runs
+    # (an arena growth refused by the memory governor), must hand the
+    # ladder's retry clean tables.
+    @pytest.mark.parametrize("target", ["parallel_accumulate", "segmented_max_key"])
+    def test_abort_leaves_tables_clean(self, small_social, monkeypatch, target):
+        config = LPAConfig()
+
+        def fresh_move(eng):
+            labels = np.arange(small_social.num_vertices, dtype=VERTEX_DTYPE)
+            outcome = eng.move(
+                labels, Frontier(small_social), pick_less=True, iteration=0
+            )
+            return labels, outcome
+
+        real = getattr(engine_mod, target)
+
+        def fail(*args, **kwargs):
+            if target == "parallel_accumulate":
+                real(*args, **kwargs)
+            raise HashtableFullError(f"injected in {target}")
+
+        eng = make_engine(small_social, config, "hashtable")
+        with monkeypatch.context() as mp:
+            mp.setattr(engine_mod, target, fail)
+            with pytest.raises(HashtableFullError):
+                fresh_move(eng)
+        assert np.all(eng.tables.keys == EMPTY_KEY)
+        assert np.all(eng.tables.values == 0)
+
+        labels, outcome = fresh_move(eng)
+        ref_labels, ref_outcome = fresh_move(
+            make_engine(small_social, config, "hashtable")
+        )
+        assert np.array_equal(labels, ref_labels)
+        assert outcome.counters.as_dict() == ref_outcome.counters.as_dict()
 
 
 class TestCompactLayoutDifferential:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_bit_identical_labels_and_counters(self, small_web, engine):
-        compact = _run(small_web, engine, compact_layout=True)
-        wide = _run(small_web, engine, compact_layout=False)
-        _assert_identical(compact, wide, engine)
+        compact = run(small_web, engine, compact_layout=True)
+        wide = run(small_web, engine, compact_layout=False)
+        assert_identical(compact, wide, engine)
         # The public result is always wide, whatever ran internally.
         assert compact.labels.dtype == VERTEX_DTYPE
         assert wide.labels.dtype == VERTEX_DTYPE
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_full_matrix_corner(self, small_social, engine):
-        # Cross-check the extreme corners of the fused x compact matrix.
-        fast = _run(small_social, engine, fused_sweep=True, compact_layout=True)
-        slow = _run(small_social, engine, fused_sweep=False, compact_layout=False)
-        _assert_identical(fast, slow, engine)
+        # Extreme corners of the sweep x compact matrix; a zero-rate fault
+        # spec reaches the up-front clear through the public API.
+        fast = run(small_social, engine, compact_layout=True)
+        hooked = ResilienceConfig(faults=FaultSpec(rate=0.0))
+        slow = run(small_social, engine, resilience=hooked, compact_layout=False)
+        assert_identical(fast, slow, engine)
 
     def test_initial_labels_outside_int32_fall_back_to_wide(self, triangle):
         big = np.full(3, 2**40, dtype=VERTEX_DTYPE)
@@ -119,8 +139,8 @@ class TestCompactLayoutDifferential:
 class TestPersistentKernelDifferential:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_labels_identical_launches_amortised(self, small_web, engine):
-        on = _run(small_web, engine, persistent_kernel=True)
-        off = _run(small_web, engine, persistent_kernel=False)
+        on = run(small_web, engine, persistent_kernel=True)
+        off = run(small_web, engine, persistent_kernel=False)
         assert np.array_equal(on.labels, off.labels)
         on_c = on.total_counters
         off_c = off.total_counters
@@ -136,8 +156,8 @@ class TestPersistentKernelDifferential:
 
 class TestDegreeRenumber:
     def test_valid_partition_and_determinism(self, small_web):
-        a = _run(small_web, "hashtable", degree_renumber=True)
-        b = _run(small_web, "hashtable", degree_renumber=True)
+        a = run(small_web, "hashtable", degree_renumber=True)
+        b = run(small_web, "hashtable", degree_renumber=True)
         assert np.array_equal(a.labels, b.labels)
         assert a.labels.dtype == VERTEX_DTYPE
         assert a.labels.min() >= 0
@@ -145,7 +165,7 @@ class TestDegreeRenumber:
         # The renaming must preserve community quality, not just validity.
         from repro.metrics.modularity import modularity
 
-        base = _run(small_web, "hashtable")
+        base = run(small_web, "hashtable")
         q_renum = modularity(small_web, a.labels)
         q_base = modularity(small_web, base.labels)
         assert q_renum > 0.5 * q_base > 0
@@ -171,13 +191,13 @@ class TestDegreeRenumber:
 
 
 class TestFusedSteadyStateAllocations:
-    """The fused sweep must stay allocation-free at the fixed point."""
+    """The default hashtable sweep must stay allocation-free at the fixed point."""
 
     _SLACK_BYTES = 16384
 
     def test_fused_hashtable_steady_state(self):
         graph = web_graph(1200, avg_degree=6, seed=3).with_compact_layout()
-        config = LPAConfig(pruning=False, fused_sweep=True)
+        config = LPAConfig(pruning=False)
         eng = make_engine(graph, config, "hashtable")
         frontier = Frontier(graph, enabled=False, arena=eng.arena)
         labels = np.arange(graph.num_vertices, dtype=VERTEX_DTYPE)
@@ -203,5 +223,5 @@ class TestFusedSteadyStateAllocations:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak - before < self._SLACK_BYTES, (
-            f"fused steady-state iterations allocated {peak - before} bytes"
+            f"hashtable steady-state iterations allocated {peak - before} bytes"
         )

@@ -16,54 +16,33 @@ import numpy as np
 import pytest
 
 from repro.core.config import LPAConfig
-from repro.core.lpa import make_engine, nu_lpa
+from repro.core.lpa import make_engine
 from repro.core.pruning import Frontier
-from repro.graph.generators import rmat_graph, web_graph
+from repro.graph.generators import web_graph
 from repro.hashing.probing import ProbeStrategy
 from repro.types import VERTEX_DTYPE
-
-ENGINES = ["vectorized", "hashtable"]
-
-
-def _run(graph, engine, **config_kwargs):
-    result = nu_lpa(
-        graph,
-        LPAConfig(**config_kwargs),
-        engine=engine,
-        warn_on_no_convergence=False,
-    )
-    return result
-
-
-def _assert_identical(a, b, context):
-    assert np.array_equal(a.labels, b.labels), context
-    assert len(a.iterations) == len(b.iterations), context
-    for it_a, it_b in zip(a.iterations, b.iterations):
-        assert it_a.changed == it_b.changed, context
-        assert it_a.processed == it_b.processed, context
-        assert it_a.reverted == it_b.reverted, context
-        assert it_a.counters.as_dict() == it_b.counters.as_dict(), context
+from tests.core.differential import ENGINES, assert_identical, run
 
 
 class TestArenaDifferential:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("pruning", [True, False])
     def test_bit_identical_labels_and_counters(self, small_web, engine, pruning):
-        on = _run(small_web, engine, workspace_arena=True, pruning=pruning)
-        off = _run(small_web, engine, workspace_arena=False, pruning=pruning)
-        _assert_identical(on, off, f"{engine}, pruning={pruning}")
+        on = run(small_web, engine, pruning=pruning)
+        off = run(small_web, engine, arena=False, pruning=pruning)
+        assert_identical(on, off, f"{engine}, pruning={pruning}")
 
     @pytest.mark.parametrize("probing", list(ProbeStrategy))
     def test_bit_identical_across_probing_strategies(self, small_social, probing):
-        on = _run(small_social, "hashtable", workspace_arena=True, probing=probing)
-        off = _run(small_social, "hashtable", workspace_arena=False, probing=probing)
-        _assert_identical(on, off, probing.value)
+        on = run(small_social, "hashtable", probing=probing)
+        off = run(small_social, "hashtable", arena=False, probing=probing)
+        assert_identical(on, off, probing.value)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_bit_identical_with_fp64_values(self, small_web, engine):
-        on = _run(small_web, engine, workspace_arena=True, value_dtype=np.float64)
-        off = _run(small_web, engine, workspace_arena=False, value_dtype=np.float64)
-        _assert_identical(on, off, engine)
+        on = run(small_web, engine, value_dtype=np.float64)
+        off = run(small_web, engine, arena=False, value_dtype=np.float64)
+        assert_identical(on, off, engine)
 
 
 def _converge(eng, graph, config, max_iterations=64):
@@ -138,8 +117,9 @@ class TestSteadyStateAllocations:
     def test_arena_off_allocates_plenty(self):
         """Control: the same fixed-point workload without the arena."""
         graph = web_graph(1200, avg_degree=6, seed=3)
-        config = LPAConfig(pruning=False, workspace_arena=False)
+        config = LPAConfig(pruning=False)
         eng = make_engine(graph, config, "vectorized")
+        eng.arena = None
         labels, frontier = _converge(eng, graph, config)
 
         tracemalloc.start()

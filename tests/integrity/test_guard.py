@@ -109,20 +109,21 @@ class TestSpotAudit:
         guard._spot_audit(engine, graph.num_vertices, iteration=0)
         assert guard.spot_audits == 1
 
-    def test_fused_sweep_leaves_tables_clean(self, graph):
-        # The fused sweep (default) re-empties every claimed slot at the
-        # end of the wave, so there is no inter-wave residue to audit —
+    def test_default_path_leaves_tables_clean(self, graph):
+        # The default sweep re-empties each wave's tables after the
+        # max-key reduce, so there is no inter-wave residue to audit —
         # the spot audit sees clean tables by construction.
-        engine = HashtableEngine(graph, LPAConfig(fused_sweep=True))
+        engine = HashtableEngine(graph, LPAConfig())
         labels = np.arange(graph.num_vertices, dtype=np.int64)
         engine.move(labels, Frontier(graph), pick_less=False, iteration=0)
         assert not np.any(engine.tables.keys >= 0)
 
     def test_out_of_range_key_detected(self, graph):
         guard = _guard(graph, spot_audit_slots=10_000)
-        # The unfused path clears tables lazily (at the start of the next
-        # wave), leaving occupied residue for the audit to sample.
-        engine = HashtableEngine(graph, LPAConfig(fused_sweep=False))
+        # Under a fault hook tables are cleared at the start of each wave,
+        # leaving occupied residue for the audit to sample.
+        engine = HashtableEngine(graph, LPAConfig())
+        engine.fault_hook = lambda ctx: None
         labels = np.arange(graph.num_vertices, dtype=np.int64)
         engine.move(labels, Frontier(graph), pick_less=False, iteration=0)
         # The audit samples slots with replacement; corrupt every occupied
@@ -135,7 +136,8 @@ class TestSpotAudit:
 
     def test_non_finite_value_detected(self, graph):
         guard = _guard(graph, spot_audit_slots=10_000)
-        engine = HashtableEngine(graph, LPAConfig(fused_sweep=False))
+        engine = HashtableEngine(graph, LPAConfig())
+        engine.fault_hook = lambda ctx: None  # keep the inter-wave residue
         labels = np.arange(graph.num_vertices, dtype=np.int64)
         engine.move(labels, Frontier(graph), pick_less=False, iteration=0)
         occupied = np.flatnonzero(engine.tables.keys >= 0)
