@@ -97,6 +97,38 @@ def _make_governor(
     )
 
 
+def _restore_checkpoint(
+    state: CheckpointState,
+    labels: np.ndarray,
+    frontier: Frontier,
+    eng,
+    supervisor: KernelSupervisor | None,
+) -> tuple[list[IterationStats], bool]:
+    """Reinstate an iteration-boundary checkpoint in place.
+
+    Shared by resume and the integrity guard's rewind.  Restores labels,
+    frontier flags, the supervisor's cross-iteration state and the
+    hashtable capacity scale, and returns the checkpoint's ``(stats,
+    converged)`` for the caller's loop state.  The scale matters because
+    a regrow rung changes slot order, and slot order decides max-reduce
+    ties: resuming a regrown run at scale 1 drifts from the never-crashed
+    run.  It goes through ``_rebuild_tables`` so the governor ledger
+    follows; the integrity guard's shadow twin tracks the engine's scale
+    on its next replay.
+    """
+    labels[:] = state.labels
+    frontier.flags[:] = state.flags
+    tables = getattr(eng, "tables", None)
+    if tables is not None and tables.capacity_scale != state.capacity_scale:
+        eng._rebuild_tables(state.capacity_scale)
+    if supervisor is not None:
+        supervisor.restore_state(
+            injector_fires=state.injector_fires,
+            last_pl_fraction=state.last_pl_fraction,
+        )
+    return list(state.stats), state.converged
+
+
 def nu_lpa(
     graph: CSRGraph,
     config: LPAConfig | None = None,
@@ -318,16 +350,11 @@ def nu_lpa(
                             f"written by a different run (digest "
                             f"{state.digest} != {digest}); refusing to resume"
                         )
-                    labels[:] = state.labels
-                    frontier.flags[:] = state.flags
+                    iterations, converged = _restore_checkpoint(
+                        state, labels, frontier, eng, supervisor
+                    )
                     start_iteration = state.iteration
                     resumed_from = state.iteration
-                    iterations = list(state.stats)
-                    converged = state.converged or converged
-                    supervisor.restore_state(
-                        injector_fires=state.injector_fires,
-                        last_pl_fraction=state.last_pl_fraction,
-                    )
 
     meter: BudgetMeter | None = None
     if budget is not None and not budget.unlimited:
@@ -459,17 +486,11 @@ def nu_lpa(
                         and state.digest == digest
                         and guard.rewinds < guard.config.max_rewinds
                     ):
-                        labels[:] = state.labels
-                        frontier.flags[:] = state.flags
-                        iterations = list(state.stats)
-                        converged = state.converged
+                        iterations, converged = _restore_checkpoint(
+                            state, labels, frontier, eng, supervisor
+                        )
                         degraded_reason = None
                         li = state.iteration
-                        if supervisor is not None:
-                            supervisor.restore_state(
-                                injector_fires=state.injector_fires,
-                                last_pl_fraction=state.last_pl_fraction,
-                            )
                         guard.note_rewind(labels)
                         if tracing:
                             tracer.emit(IntegrityEvent(
@@ -536,6 +557,10 @@ def nu_lpa(
                                 last_pl_fraction=(
                                     supervisor.last_pl_fraction
                                     if supervisor is not None else None
+                                ),
+                                capacity_scale=getattr(
+                                    getattr(eng, "tables", None),
+                                    "capacity_scale", 1,
                                 ),
                             )
                         )

@@ -18,9 +18,9 @@ gap with algorithm-based fault tolerance (ABFT):
   model.
 * :func:`~repro.integrity.fsck.fsck_all` — the unified at-rest audit
   behind ``repro fsck --all``.
-* :func:`~repro.integrity.soak.run_integrity_soak` — the end-to-end
-  corruption soak (live SDC injection + at-rest bit-rot) asserting no
-  silent wrong publish across many seeds.
+
+The end-to-end corruption soak (live SDC injection + at-rest bit rot) is
+the ``integrity`` leg of :mod:`repro.soak`.
 """
 
 from repro.integrity.config import IntegrityConfig
@@ -33,17 +33,13 @@ __all__ = [
     "IntegrityGuard",
     "IntegrityReport",
     "fsck_all",
-    "IntegritySoakReport",
-    "run_integrity_soak",
 ]
 
 _LAZY = {
-    # fsck walks every durable store and soak drives whole runs — both pull
-    # in the driver, which imports this package.  Loaded on first use.
+    # fsck walks every durable store, which pulls in `nu_lpa`, which
+    # imports this package.  Loaded on first use.
     "IntegrityReport": "repro.integrity.fsck",
     "fsck_all": "repro.integrity.fsck",
-    "IntegritySoakReport": "repro.integrity.soak",
-    "run_integrity_soak": "repro.integrity.soak",
 }
 
 

@@ -67,18 +67,15 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "SERVICE_SCHEMA",
     "SERVICE_SCHEMA_VERSION",
-    "STREAM_SOAK_SCHEMA",
-    "STREAM_SOAK_SCHEMA_VERSION",
     "QUERY_BENCH_SCHEMA",
     "QUERY_BENCH_SCHEMA_VERSION",
-    "MEMORY_SOAK_SCHEMA",
-    "MEMORY_SOAK_SCHEMA_VERSION",
+    "SOAK_SCHEMA",
+    "SOAK_SCHEMA_VERSION",
     "validate_profile",
     "validate_bench",
     "validate_service_stats",
-    "validate_stream_soak",
     "validate_query_bench",
-    "validate_memory_soak",
+    "validate_soak",
 ]
 
 _PROFILE_NAMES = {"RunProfile", "IterationProfile", "KernelProfile", "build_profile"}
@@ -89,18 +86,15 @@ _SCHEMA_NAMES = {
     "BENCH_SCHEMA_VERSION",
     "SERVICE_SCHEMA",
     "SERVICE_SCHEMA_VERSION",
-    "STREAM_SOAK_SCHEMA",
-    "STREAM_SOAK_SCHEMA_VERSION",
     "QUERY_BENCH_SCHEMA",
     "QUERY_BENCH_SCHEMA_VERSION",
-    "MEMORY_SOAK_SCHEMA",
-    "MEMORY_SOAK_SCHEMA_VERSION",
+    "SOAK_SCHEMA",
+    "SOAK_SCHEMA_VERSION",
     "validate_profile",
     "validate_bench",
     "validate_service_stats",
-    "validate_stream_soak",
     "validate_query_bench",
-    "validate_memory_soak",
+    "validate_soak",
 }
 
 

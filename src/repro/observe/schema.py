@@ -28,21 +28,16 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "SERVICE_SCHEMA",
     "SERVICE_SCHEMA_VERSION",
-    "STREAM_SOAK_SCHEMA",
-    "STREAM_SOAK_SCHEMA_VERSION",
     "QUERY_BENCH_SCHEMA",
     "QUERY_BENCH_SCHEMA_VERSION",
-    "INTEGRITY_SOAK_SCHEMA",
-    "INTEGRITY_SOAK_SCHEMA_VERSION",
-    "MEMORY_SOAK_SCHEMA",
-    "MEMORY_SOAK_SCHEMA_VERSION",
+    "SOAK_SCHEMA",
+    "SOAK_SCHEMA_VERSION",
+    "SOAK_VERDICTS",
     "validate_profile",
     "validate_bench",
     "validate_service_stats",
-    "validate_stream_soak",
     "validate_query_bench",
-    "validate_integrity_soak",
-    "validate_memory_soak",
+    "validate_soak",
 ]
 
 PROFILE_SCHEMA = "repro.observe/profile"
@@ -61,7 +56,7 @@ BENCH_SCHEMA_VERSION = 3
 #: DetectionService` health snapshot (``service.stats()`` / ``repro serve
 #: --stats-out``): queue depth and rejections, job-state counts,
 #: degradation-rung counts, breaker states, and modelled-clock latency
-#: percentiles.  The CI service-soak job uploads one of these.
+#: percentiles.  The CI soak job's service leg uploads one of these.
 SERVICE_SCHEMA = "repro.observe/service"
 #: v2 adds the required ``batching`` section (wave-batching counters:
 #: batches formed, jobs coalesced, launch-overhead seconds amortised).
@@ -70,15 +65,6 @@ SERVICE_SCHEMA = "repro.observe/service"
 #: high-water mark, typed-rejection / serialisation / degradation
 #: counters).
 SERVICE_SCHEMA_VERSION = 3
-
-#: ``repro.observe/stream-soak`` — the streaming-pipeline report written
-#: by ``benchmarks/bench_stream_soak.py``: per-seed kill/restart soak
-#: verdicts (:func:`repro.stream.run_stream_soak`) plus throughput
-#: (deltas applied per second), the mean warm-start frontier fraction,
-#: and the incremental-vs-from-scratch speedup.  The CI stream-soak job
-#: uploads one of these.
-STREAM_SOAK_SCHEMA = "repro.observe/stream-soak"
-STREAM_SOAK_SCHEMA_VERSION = 1
 
 #: ``repro.observe/query-bench`` — the read-path latency report written
 #: by ``benchmarks/bench_query.py``: per-graph p50/p99 latencies of the
@@ -89,26 +75,19 @@ STREAM_SOAK_SCHEMA_VERSION = 1
 QUERY_BENCH_SCHEMA = "repro.observe/query-bench"
 QUERY_BENCH_SCHEMA_VERSION = 1
 
-#: ``repro.observe/integrity-soak`` — the corruption-soak report written
-#: by ``benchmarks/bench_integrity_soak.py``: per-seed verdicts for the
-#: three corruption legs (live SDC injection under the ABFT guard stack,
-#: checkpoint bit rot, snapshot bit rot) from
-#: :func:`repro.integrity.run_integrity_soak`.  The CI integrity-soak job
-#: uploads one of these; ``silent`` must be 0.
-INTEGRITY_SOAK_SCHEMA = "repro.observe/integrity-soak"
-INTEGRITY_SOAK_SCHEMA_VERSION = 1
-
-#: ``repro.observe/memory-soak`` — the memory-pressure chaos report
-#: written by ``benchmarks/bench_memory_soak.py``: per-seed verdicts for
-#: the three pressure legs (live injected OOM faults under the
-#: supervisor's memory rungs, admission-time rejection of an oversized
-#: job, mid-run budget shrink) from
-#: :func:`repro.resilience.run_memory_soak`, plus the ledger-vs-estimate
-#: reconciliation.  The CI memory-soak job uploads one of these;
-#: ``silent`` must be 0 — every OOM is either absorbed by a degradation
-#: rung with valid labels or rejected with a typed error.
-MEMORY_SOAK_SCHEMA = "repro.observe/memory-soak"
-MEMORY_SOAK_SCHEMA_VERSION = 1
+#: ``repro.observe/soak`` — one leg's report from
+#: ``benchmarks/bench_soak.py`` (:func:`repro.soak.run_soak`): per-seed
+#: verdicts, failures and the leg's own fields, plus leg-level details
+#: (the stream leg adds its throughput ``rates``, the service leg its
+#: clean-run ``stats`` snapshot).  The CI ``soak`` job uploads one per
+#: leg; ``silent`` must be 0.
+SOAK_SCHEMA = "repro.observe/soak"
+SOAK_SCHEMA_VERSION = 1
+#: The four outcomes of an attack (:class:`repro.soak.Verdict`), in
+#: order; the last is the silent wrong answer every soak must not give.
+SOAK_VERDICTS = (
+    "absorbed-identical", "absorbed-valid", "typed-error", "silent/wrong",
+)
 
 
 def _fail(path: str, message: str):
@@ -334,156 +313,60 @@ def validate_service_stats(doc: dict) -> dict:
     return doc
 
 
-def validate_stream_soak(doc: dict) -> dict:
-    """Validate a ``BENCH_stream_soak.json`` document; returns ``doc``."""
-    path = "stream_soak"
-    _check_header(doc, path, STREAM_SOAK_SCHEMA, STREAM_SOAK_SCHEMA_VERSION)
-    _require(doc, path, "dataset", str)
-    scale = _require(doc, path, "scale", numbers.Real)
-    if scale <= 0:
-        _fail(f"{path}.scale", f"must be positive, got {scale}")
-    for key in ("num_seeds", "batches_per_seed", "batch_size", "hops"):
-        value = _require(doc, path, key, int)
-        if value < 0 or (key != "hops" and value == 0):
-            _fail(f"{path}.{key}", f"must be positive, got {value}")
+def validate_soak(doc: dict) -> dict:
+    """Validate a ``BENCH_<leg>_soak.json`` document; returns ``doc``.
 
-    rates = _require(doc, path, "rates", dict)
-    rpath = f"{path}.rates"
-    for key in ("deltas_per_second", "epochs_per_second", "speedup_vs_scratch"):
-        value = _require(rates, rpath, key, numbers.Real)
-        if value <= 0:
-            _fail(f"{rpath}.{key}", f"must be positive, got {value}")
-    frontier = _require(rates, rpath, "frontier_fraction_mean", numbers.Real)
-    if not 0.0 <= frontier <= 1.0:
-        _fail(f"{rpath}.frontier_fraction_mean",
-              f"fraction {frontier} outside [0, 1]")
-
-    soak = _require(doc, path, "soak", dict)
-    spath = f"{path}.soak"
-    _require(soak, spath, "ok", bool)
-    for key in ("num_seeds", "total_deaths"):
-        value = _require(soak, spath, key, int)
-        if value < 0:
-            _fail(f"{spath}.{key}", f"negative count {value}")
-    seeds = _require(soak, spath, "seeds", list)
-    if len(seeds) != soak["num_seeds"]:
-        _fail(f"{spath}.seeds",
-              f"{len(seeds)} entries for num_seeds {soak['num_seeds']}")
-    for i, s in enumerate(seeds):
-        epath = f"{spath}.seeds[{i}]"
-        for key in (
-            "seed", "batches", "epochs", "producer_deaths", "torn_tails",
-            "service_deaths", "restarts",
-        ):
-            _require(s, epath, key, int)
-        for key in ("labels_identical", "graph_identical", "ok"):
-            _require(s, epath, key, bool)
-        gap = _require(s, epath, "modularity_gap", numbers.Real)
-        if gap < 0:
-            _fail(f"{epath}.modularity_gap", f"negative gap {gap}")
-    return doc
-
-
-def validate_integrity_soak(doc: dict) -> dict:
-    """Validate a ``BENCH_integrity_soak.json`` document; returns ``doc``."""
-    path = "integrity_soak"
-    _check_header(doc, path, INTEGRITY_SOAK_SCHEMA, INTEGRITY_SOAK_SCHEMA_VERSION)
-    _require(doc, path, "engine", str)
-    for key in ("num_vertices", "num_edges"):
-        value = _require(doc, path, key, int)
-        if value < 0:
-            _fail(f"{path}.{key}", f"negative count {value}")
-    _require(doc, path, "ok", bool)
-    silent = _require(doc, path, "silent", int)
-    if silent < 0:
-        _fail(f"{path}.silent", f"negative count {silent}")
+    Beyond types, the counts must agree with the records: ``silent`` with
+    the ``silent/wrong`` verdicts, ``ok`` with the verdicts and failures.
+    """
+    path = "soak"
+    _check_header(doc, path, SOAK_SCHEMA, SOAK_SCHEMA_VERSION)
+    _require(doc, path, "leg", str)
     _require(doc, path, "summary", str)
+    num_seeds = _require(doc, path, "num_seeds", int)
     records = _require(doc, path, "records", list)
-    for i, r in enumerate(records):
-        rpath = f"{path}.records[{i}]"
-        _require(r, rpath, "seed", int)
-        _require(r, rpath, "ok", bool)
-        if _require(r, rpath, "silent", int) < 0:
-            _fail(f"{rpath}.silent", "negative count")
-        live = _require(r, rpath, "live", dict)
-        if _require(live, f"{rpath}.live", "detections", int) < 0:
-            _fail(f"{rpath}.live.detections", "negative count")
-        _require(live, f"{rpath}.live", "identical", bool)
-        for leg in ("checkpoint", "snapshot"):
-            sub = _require(r, rpath, leg, dict)
-            _require(sub, f"{rpath}.{leg}", "flip", str)
-            _require(sub, f"{rpath}.{leg}", "detected", bool)
-            _require(sub, f"{rpath}.{leg}", "identical", bool)
-        _require(r, rpath, "guard", dict)
-    return doc
-
-
-def validate_memory_soak(doc: dict) -> dict:
-    """Validate a ``BENCH_memory_soak.json`` document; returns ``doc``."""
-    path = "memory_soak"
-    _check_header(doc, path, MEMORY_SOAK_SCHEMA, MEMORY_SOAK_SCHEMA_VERSION)
-    _require(doc, path, "engine", str)
-    for key in ("num_vertices", "num_edges", "num_seeds"):
-        value = _require(doc, path, key, int)
-        if value < 0:
-            _fail(f"{path}.{key}", f"negative count {value}")
-    _require(doc, path, "ok", bool)
-    silent = _require(doc, path, "silent", int)
-    if silent < 0:
-        _fail(f"{path}.silent", f"negative count {silent}")
-    tolerance = _require(doc, path, "tolerance", numbers.Real)
-    if not 0.0 < tolerance < 1.0:
-        _fail(f"{path}.tolerance", f"tolerance {tolerance} outside (0, 1)")
-    _require(doc, path, "summary", str)
-    records = _require(doc, path, "records", list)
-    if len(records) != doc["num_seeds"]:
+    if len(records) != num_seeds:
         _fail(f"{path}.records",
-              f"{len(records)} entries for num_seeds {doc['num_seeds']}")
+              f"{len(records)} entries for num_seeds {num_seeds}")
+    counts = dict.fromkeys(SOAK_VERDICTS, 0)
     for i, r in enumerate(records):
         rpath = f"{path}.records[{i}]"
         _require(r, rpath, "seed", int)
-        _require(r, rpath, "ok", bool)
-        if _require(r, rpath, "silent", int) < 0:
-            _fail(f"{rpath}.silent", "negative count")
-        live = _require(r, rpath, "live", dict)
-        if _require(live, f"{rpath}.live", "ooms", int) < 0:
-            _fail(f"{rpath}.live.ooms", "negative count")
-        for key in ("absorbed", "valid", "identical"):
-            _require(live, f"{rpath}.live", key, bool)
-        admission = _require(r, rpath, "admission", dict)
-        apath = f"{rpath}.admission"
-        _require(admission, apath, "rejected", bool)
-        for key in ("estimate_bytes", "budget_bytes"):
-            if _require(admission, apath, key, int) < 0:
-                _fail(f"{apath}.{key}", "negative byte count")
-        if admission["rejected"] and (
-            admission["estimate_bytes"] <= admission["budget_bytes"]
-        ):
-            _fail(f"{apath}.rejected",
-                  "rejected although the estimate fits the budget")
-        shrink = _require(r, rpath, "shrink", dict)
-        if _require(shrink, f"{rpath}.shrink", "ooms", int) < 0:
-            _fail(f"{rpath}.shrink.ooms", "negative count")
-        for key in ("absorbed", "valid"):
-            _require(shrink, f"{rpath}.shrink", key, bool)
-        rec = _require(r, rpath, "reconcile", dict)
-        cpath = f"{rpath}.reconcile"
-        for key in ("estimate_bytes", "high_water_bytes"):
-            if _require(rec, cpath, key, int) < 0:
-                _fail(f"{cpath}.{key}", "negative byte count")
-        _require(rec, cpath, "identical", bool)
-        deviation = _require(rec, cpath, "deviation", numbers.Real)
-        if deviation < 0:
-            _fail(f"{cpath}.deviation", f"negative deviation {deviation}")
-        utilization = _require(rec, cpath, "utilization", numbers.Real)
-        if utilization < 0:
-            _fail(f"{cpath}.utilization",
-                  f"negative utilization {utilization}")
-        within = _require(rec, cpath, "within_tolerance", bool)
-        if within != (deviation <= tolerance):
-            _fail(f"{cpath}.within_tolerance",
-                  f"verdict {within} inconsistent with deviation "
-                  f"{deviation} vs tolerance {tolerance}")
+        _require(r, rpath, "details", dict)
+        failures = _require(r, rpath, "failures", list)
+        verdicts = _require(r, rpath, "verdicts", dict)
+        for attack, verdict in verdicts.items():
+            if verdict not in counts:
+                _fail(f"{rpath}.verdicts.{attack}", f"unknown verdict {verdict!r}")
+            counts[verdict] += 1
+        wrong = sum(v == SOAK_VERDICTS[-1] for v in verdicts.values())
+        if _require(r, rpath, "silent", int) != wrong:
+            _fail(f"{rpath}.silent",
+                  f"{r['silent']} for {wrong} {SOAK_VERDICTS[-1]} verdict(s)")
+        if _require(r, rpath, "ok", bool) != (wrong == 0 and not failures):
+            _fail(f"{rpath}.ok", "inconsistent with the verdicts and failures")
+    if _require(doc, path, "verdicts", dict) != counts:
+        _fail(f"{path}.verdicts", f"counts {doc['verdicts']} != records {counts}")
+    if _require(doc, path, "silent", int) != counts[SOAK_VERDICTS[-1]]:
+        _fail(f"{path}.silent", "disagrees with the records")
+    ok = bool(records) and all(r["ok"] for r in records)
+    if _require(doc, path, "ok", bool) != ok:
+        _fail(f"{path}.ok", "inconsistent with the records")
+
+    details = _require(doc, path, "details", dict)
+    if "rates" in details:
+        rates = _require(details, f"{path}.details", "rates", dict)
+        rpath = f"{path}.details.rates"
+        for key in ("deltas_per_second", "epochs_per_second", "speedup_vs_scratch"):
+            value = _require(rates, rpath, key, numbers.Real)
+            if value <= 0:
+                _fail(f"{rpath}.{key}", f"must be positive, got {value}")
+        frontier = _require(rates, rpath, "frontier_fraction_mean", numbers.Real)
+        if not 0.0 <= frontier <= 1.0:
+            _fail(f"{rpath}.frontier_fraction_mean",
+                  f"fraction {frontier} outside [0, 1]")
+    if "stats" in details:
+        validate_service_stats(details["stats"])
     return doc
 
 

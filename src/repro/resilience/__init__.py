@@ -57,13 +57,6 @@ __all__ = [
     "ValidationIssue",
     "ValidationReport",
     "validate_graph",
-    "ChaosSchedule",
-    "SoakRecord",
-    "SoakReport",
-    "run_chaos_soak",
-    "MemorySoakRecord",
-    "MemorySoakReport",
-    "run_memory_soak",
     "check_finite_values",
     "check_label_range",
     "check_pl_monotone",
@@ -76,17 +69,6 @@ _LAZY = {
     "FsckEntry": "repro.resilience.checkpoint",
     "fsck": "repro.resilience.checkpoint",
     "run_digest": "repro.resilience.checkpoint",
-    # chaos imports the driver (it runs full nu_lpa sessions), so it must
-    # stay lazy for the same reason the supervisor does.
-    "ChaosSchedule": "repro.resilience.chaos",
-    "SoakRecord": "repro.resilience.chaos",
-    "SoakReport": "repro.resilience.chaos",
-    "run_chaos_soak": "repro.resilience.chaos",
-    # memory_soak runs full nu_lpa sessions and the service, so it stays
-    # lazy like chaos.
-    "MemorySoakRecord": "repro.resilience.memory_soak",
-    "MemorySoakReport": "repro.resilience.memory_soak",
-    "run_memory_soak": "repro.resilience.memory_soak",
 }
 
 

@@ -3,8 +3,10 @@
 A checkpoint is everything the driver loop needs to continue a run
 bit-identically from an iteration boundary: the membership (label) vector,
 the frontier's processed flags, the next iteration index, the per-iteration
-statistics so far, and the supervisor's cross-iteration state (injector
-fire count, last Pick-Less changed fraction).  Because the simulator is
+statistics so far, the supervisor's cross-iteration state (injector
+fire count, last Pick-Less changed fraction), and the hashtable capacity
+scale (a regrow rung changes slot order, and slot order decides max-reduce
+ties).  Because the simulator is
 deterministic, ``state at iteration k`` + ``same config`` =>
 ``bit-identical final communities`` — per-iteration state is a restartable
 queue, not a monolithic pass.
@@ -14,7 +16,9 @@ Format
 One ``ckpt-NNNNNN.npz`` per snapshot inside the checkpoint directory:
 ``labels`` and ``flags`` arrays plus a JSON ``meta`` blob (schema version,
 run digest, iteration, convergence flag, serialized iteration stats,
-supervisor state, and a CRC32 per array).
+supervisor state, and a CRC32 per array).  The hashtable capacity
+scale is stored only when a regrow left it above 1; a meta blob without
+``capacity_scale`` reads as scale 1.
 
 Durability
 ----------
@@ -114,6 +118,8 @@ class CheckpointState:
     injector_fires: int = 0
     #: Supervisor's last Pick-Less changed fraction, if any.
     last_pl_fraction: float | None = None
+    #: Hashtable engine's table ``capacity_scale`` (1 = the paper's layout).
+    capacity_scale: int = 1
 
 
 def _stats_to_json(stats: list[IterationStats]) -> list[dict]:
@@ -225,6 +231,10 @@ class CheckpointManager:
                 "flags": zlib.crc32(flags.tobytes()),
             },
         }
+        if state.capacity_scale != 1:
+            # Only a regrown table records its scale: an unregrown run's
+            # files stay byte-identical to those written before the field.
+            meta["capacity_scale"] = state.capacity_scale
         final = self.directory / f"{_PREFIX}{state.iteration:06d}{_SUFFIX}"
         tmp = self.directory / f".tmp-{os.getpid()}-{state.iteration:06d}{_SUFFIX}"
         try:
@@ -325,6 +335,7 @@ class CheckpointManager:
             stats=_stats_from_json(meta.get("stats", [])),
             injector_fires=int(meta.get("injector_fires", 0)),
             last_pl_fraction=None if last_pl is None else float(last_pl),
+            capacity_scale=int(meta.get("capacity_scale", 1)),
         )
 
 

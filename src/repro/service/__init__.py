@@ -10,7 +10,6 @@ Public surface::
         BackoffPolicy, is_retryable,           # retries
         BreakerConfig, CircuitBreaker,         # circuit breakers
         ServiceJournal,                        # durability
-        run_service_soak, ServiceSoakOutcome,  # kill/restart soak
         SnapshotCatalog, Snapshot,             # query read path
         QueryEngine, SnapshotDiff, diff_snapshots,
         batch_key, amortize_launches,          # wave batching
@@ -38,8 +37,6 @@ _EXPORTS = {
     "BreakerConfig": "repro.service.breaker",
     "CircuitBreaker": "repro.service.breaker",
     "ServiceJournal": "repro.service.journal",
-    "run_service_soak": "repro.service.soak",
-    "ServiceSoakOutcome": "repro.service.soak",
     "SnapshotCatalog": "repro.service.read",
     "Snapshot": "repro.service.read",
     "QueryEngine": "repro.service.read",

@@ -136,8 +136,8 @@ class ServiceConfig:
         Optional callable ``hook(point, record)`` invoked at deterministic
         execution points (``"job-finished"``, and for subscription jobs
         the stream processor's ``"pre-epoch"`` / ``"mid-epoch-apply"`` /
-        ``"post-epoch"``); the soak harnesses raise
-        :class:`~repro.resilience.chaos.InjectedCrash` from it.
+        ``"post-epoch"``); the soak harness raises
+        :class:`~repro.soak.InjectedCrash` from it.
     stream_differential_every:
         For subscription jobs: every this many epochs, re-detect from
         scratch and record the modularity gap in the epoch trace

@@ -11,7 +11,8 @@ Modules
 -------
 :mod:`repro.stream.delta`
     :class:`DeltaBatch` — validated edge insert/delete/weight-update
-    batches with strict/repair/quarantine policies and a dead-letter file.
+    batches with strict/repair/quarantine policies and a dead-letter file;
+    :func:`random_delta_batches` draws a valid mixed workload of them.
 :mod:`repro.stream.log`
     :class:`DeltaLog` — the CRC-framed write-ahead log of acknowledged
     batches (fsync per append, atomic segment rotation, torn-tail fsck).
@@ -21,8 +22,8 @@ Modules
 :mod:`repro.stream.processor`
     :class:`StreamProcessor` — replays the log into epochs with
     warm-started incremental re-detection and crash recovery.
-:mod:`repro.stream.soak`
-    :func:`run_stream_soak` — the kill/restart chaos proof.
+
+The kill/restart chaos proof is the ``stream`` leg of :mod:`repro.soak`.
 """
 
 from __future__ import annotations
@@ -41,9 +42,7 @@ _EXPORTS = {
     "EpochState": "repro.stream.epoch",
     "EpochJournal": "repro.stream.epoch",
     "StreamProcessor": "repro.stream.processor",
-    "StreamSoakOutcome": "repro.stream.soak",
-    "run_stream_soak": "repro.stream.soak",
-    "random_delta_batches": "repro.stream.soak",
+    "random_delta_batches": "repro.stream.delta",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import DeltaValidationError
+from repro.graph.csr import CSRGraph
 from repro.resilience.validate import (
     FP32_MAX,
     ValidationIssue,
@@ -48,6 +49,7 @@ __all__ = [
     "DeltaValidationReport",
     "DeadLetterFile",
     "validate_batch",
+    "random_delta_batches",
 ]
 
 #: Mutation kinds a batch may carry.
@@ -361,3 +363,57 @@ def validate_batch(
         )
     clean = DeltaBatch(ops=tuple(kept), num_vertices=num_vertices)
     return clean, report
+
+
+def random_delta_batches(
+    graph: CSRGraph,
+    rng: np.random.Generator,
+    *,
+    num_batches: int = 6,
+    batch_size: int = 5,
+    grow_every: int = 0,
+) -> list[DeltaBatch]:
+    """A valid mixed workload of delta batches against ``graph``.
+
+    Tracks the evolving edge set so every remove/update names an edge
+    that exists at its point in the sequence (the soak exercises crash
+    recovery, not quarantine).  ``grow_every`` > 0 adds one new vertex
+    (wired to a random existing one) every that many batches.
+    """
+    edges: set[tuple[int, int]] = set()
+    for s, d in zip(graph.source_ids().tolist(), graph.targets.tolist()):
+        edges.add((min(s, d), max(s, d)))
+    n = graph.num_vertices
+    batches: list[DeltaBatch] = []
+    for b in range(num_batches):
+        ops: list[DeltaOp] = []
+        num_vertices = None
+        if grow_every and (b + 1) % grow_every == 0:
+            anchor = int(rng.integers(n))
+            ops.append(DeltaOp("add", anchor, n, weight=1.0))
+            edges.add((min(anchor, n), max(anchor, n)))
+            num_vertices = n + 1
+            n += 1
+        while len(ops) < batch_size:
+            kind = ("add", "remove", "update")[int(rng.integers(3))]
+            if kind == "add":
+                a, c = int(rng.integers(n)), int(rng.integers(n))
+                key = (min(a, c), max(a, c))
+                if a == c or key in edges:
+                    continue
+                edges.add(key)
+                ops.append(DeltaOp("add", a, c, weight=float(rng.uniform(0.5, 2.0))))
+            elif not edges:
+                continue
+            else:
+                key = sorted(edges)[int(rng.integers(len(edges)))]
+                if kind == "remove":
+                    edges.discard(key)
+                    ops.append(DeltaOp("remove", key[0], key[1]))
+                else:
+                    ops.append(DeltaOp(
+                        "update", key[0], key[1],
+                        weight=float(rng.uniform(0.5, 2.0)),
+                    ))
+        batches.append(DeltaBatch(ops=tuple(ops), num_vertices=num_vertices))
+    return batches

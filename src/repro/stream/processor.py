@@ -13,7 +13,7 @@ reconstructs the epoch-``E`` graph by re-applying batches ``1..E`` from
 the log onto the base graph, and resumes at batch ``E+1``.  Because both
 application and detection are deterministic, a processor killed at any
 instant — before, during, or after a batch — resumes bit-identically with
-a never-crashed run (proven by :mod:`repro.stream.soak`).
+a never-crashed run (proven by the ``stream`` leg of :mod:`repro.soak`).
 
 The optional *differential check* re-runs detection from scratch every
 ``differential_every`` epochs and records either label equality or the
@@ -75,7 +75,7 @@ class StreamProcessor:
     chaos:
         Optional ``chaos(point)`` callable invoked at the
         :data:`CHAOS_POINTS`; the soak harness raises
-        :class:`~repro.resilience.chaos.InjectedCrash` from it.
+        :class:`~repro.soak.InjectedCrash` from it.
     price:
         Optional ``price(result) -> float`` charging modelled GPU seconds
         for each detection run (the job service passes its own meter).

@@ -10,8 +10,8 @@ from repro.core.config import LPAConfig, ResilienceConfig
 from repro.core.lpa import nu_lpa
 from repro.graph.generators import web_graph
 from repro.integrity import fsck_all
-from repro.integrity.soak import flip_bit
 from repro.service.read import SnapshotCatalog
+from repro.soak import flip_bit
 from repro.stream.delta import DeltaBatch
 from repro.stream.epoch import EpochJournal, EpochState
 from repro.stream.log import DeltaLog

@@ -1,20 +1,17 @@
-"""Smoke tests for the integrity soak (the full run is a benchmark job)."""
+"""Smoke tests for the integrity leg of the soak harness (the full run is
+a benchmark job)."""
 
-import numpy as np
 import pytest
 
 from repro.graph.generators import web_graph
-from repro.integrity import run_integrity_soak
-from repro.integrity.soak import IntegritySoakRecord, flip_bit
-from repro.observe.schema import validate_integrity_soak
+from repro.observe.schema import validate_soak
+from repro.soak import IntegrityLeg, flip_bit, run_soak
 
 
 @pytest.fixture(scope="module")
 def report(tmp_path_factory):
-    graph = web_graph(120, seed=9)
-    return run_integrity_soak(
-        graph, tmp_path_factory.mktemp("soak"), seeds=3, seed=0
-    )
+    leg = IntegrityLeg(web_graph(120, seed=9), seed=0)
+    return run_soak(leg, tmp_path_factory.mktemp("soak"), seeds=3)
 
 
 class TestSoak:
@@ -25,21 +22,21 @@ class TestSoak:
 
     def test_every_leg_recovered(self, report):
         for record in report.records:
-            assert record.live_identical
-            assert record.ckpt_identical
-            assert record.snap_identical
+            for attack in ("live", "checkpoint", "snapshot"):
+                assert record.details[attack]["identical"]
 
     def test_corruption_was_actually_exercised(self, report):
         # Across 3 schedules at least one leg must have fired a detection;
         # an all-harmless soak would prove nothing.
         total = sum(
-            r.live_detections + r.ckpt_detected + r.snap_detected
+            r.details["live"]["detections"] + r.details["checkpoint"]["detected"]
+            + r.details["snapshot"]["detected"]
             for r in report.records
         )
         assert total > 0
 
     def test_report_validates_against_schema(self, report):
-        validate_integrity_soak(report.as_dict())
+        validate_soak(report.as_dict())
 
     def test_summary_mentions_counts(self, report):
         assert "3 schedule(s)" in report.summary()
@@ -62,13 +59,20 @@ class TestFlipBit:
         assert target.read_bytes() == b"\x00\x00\x02\x00"
 
 
+def _outcome(seed, live, ckpt, snap):
+    return {
+        "seed": seed,
+        "live": {"detections": live[0], "identical": live[1]},
+        "checkpoint": {"flip": "x", "detected": ckpt[0], "identical": ckpt[1]},
+        "snapshot": {"flip": "y", "detected": snap[0], "identical": snap[1]},
+        "guard": {},
+    }
+
+
 class TestRecordAccounting:
     def test_silent_counts_undetected_wrong_legs(self):
-        record = IntegritySoakRecord(
-            seed=0,
-            live_detections=0, live_identical=False,
-            ckpt_flip="x", ckpt_detected=True, ckpt_identical=False,
-            snap_flip="y", snap_detected=False, snap_identical=True,
+        record = IntegrityLeg(graph=None).verdict(
+            _outcome(0, (0, False), (True, False), (False, True))
         )
         # live: wrong + undetected = silent; ckpt: wrong but detected (not
         # silent, still not ok); snap: harmless.
@@ -76,11 +80,8 @@ class TestRecordAccounting:
         assert not record.ok
 
     def test_clean_record_is_ok(self):
-        record = IntegritySoakRecord(
-            seed=1,
-            live_detections=2, live_identical=True,
-            ckpt_flip="x", ckpt_detected=True, ckpt_identical=True,
-            snap_flip="y", snap_detected=False, snap_identical=True,
+        record = IntegrityLeg(graph=None).verdict(
+            _outcome(1, (2, True), (True, True), (False, True))
         )
         assert record.silent == 0
         assert record.ok

@@ -1,4 +1,5 @@
-"""Tests for the chaos soak harness: crash injection and differential resume."""
+"""Tests for the chaos leg of the soak harness: crash injection and
+differential resume."""
 
 import numpy as np
 import pytest
@@ -7,17 +8,18 @@ from repro.core.config import LPAConfig, ResilienceConfig
 from repro.core.lpa import nu_lpa
 from repro.errors import ReproError
 from repro.graph.generators import web_graph
-from repro.resilience.chaos import (
+from repro.observe.schema import validate_soak
+from repro.resilience.checkpoint import CheckpointManager
+from repro.soak import (
     CRASH_MODES,
-    ChaosSchedule,
+    ChaosLeg,
     CrashingCheckpointManager,
     CrashPoint,
     InjectedCrash,
     corrupt_checkpoint,
     make_schedule,
-    run_chaos_soak,
+    run_soak,
 )
-from repro.resilience.checkpoint import CheckpointManager
 
 
 @pytest.fixture
@@ -105,21 +107,22 @@ class TestSchedules:
 
 class TestSoak:
     def test_soak_resumes_bit_identical(self, tmp_path, graph):
-        report = run_chaos_soak(
-            graph, tmp_path, schedules=4, seed=0,
-            config=LPAConfig(max_iterations=12),
+        report = run_soak(
+            ChaosLeg(graph, LPAConfig(max_iterations=12), seed=0),
+            tmp_path, seeds=4,
         )
         assert len(report.records) == 4
         assert report.ok, report.summary()
-        assert any(r.crash_fired for r in report.records)
+        assert any(r.details["crash_fired"] for r in report.records)
 
     def test_report_serializes(self, tmp_path, graph):
         import json
 
-        report = run_chaos_soak(
-            graph, tmp_path, schedules=2, seed=5,
-            config=LPAConfig(max_iterations=10),
+        report = run_soak(
+            ChaosLeg(graph, LPAConfig(max_iterations=10), seed=5),
+            tmp_path, seeds=2,
         )
         doc = json.loads(json.dumps(report.as_dict()))
         assert doc["ok"] is True
         assert len(doc["records"]) == 2
+        validate_soak(doc)

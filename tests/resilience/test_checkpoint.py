@@ -48,6 +48,7 @@ class TestFormat:
             ],
             injector_fires=3,
             last_pl_fraction=0.25,
+            capacity_scale=4,
         )
         path = mgr.save(state)
         assert path.name == "ckpt-000007.npz"
@@ -58,6 +59,7 @@ class TestFormat:
         assert loaded.digest == "abc123"
         assert loaded.converged is True
         assert loaded.injector_fires == 3
+        assert loaded.capacity_scale == 4
         assert loaded.last_pl_fraction == 0.25
         assert len(loaded.stats) == 1
         assert loaded.stats[0].changed == 5
@@ -264,6 +266,45 @@ class TestResume:
         assert [s.changed for s in resumed.iterations] == [
             s.changed for s in baseline.iterations
         ]
+
+    def test_resume_after_regrow_is_bit_identical(self, tmp_path):
+        """A regrow rung in iteration 0 changes slot order (and so the
+        max-reduce ties) for the rest of the run; the resumed run must
+        continue at the regrown capacity scale, not at scale 1."""
+        graph = web_graph(480, seed=42)  # diverges at scale 1 on resume
+        faults = FaultSpec(kinds=("overflow",), rate=1.0, seed=1, max_fires=3)
+        reference = nu_lpa(
+            graph, LPAConfig(max_iterations=15), engine="hashtable",
+            resilience=ResilienceConfig(faults=faults),
+            warn_on_no_convergence=False,
+        )
+        assert [e.action for e in reference.fault_events][-1] == "regrow"
+        nu_lpa(
+            graph, LPAConfig(max_iterations=2), engine="hashtable",
+            resilience=ckpt_config(tmp_path, faults=faults),
+            warn_on_no_convergence=False,
+        )
+        newest = CheckpointManager(tmp_path / "ckpt").latest()
+        assert newest.capacity_scale == 2
+        resumed = nu_lpa(
+            graph, LPAConfig(max_iterations=15), engine="hashtable",
+            resilience=ckpt_config(tmp_path, resume=True, faults=faults),
+            warn_on_no_convergence=False,
+        )
+        assert resumed.resumed_from == 2
+        assert np.array_equal(resumed.labels, reference.labels)
+
+    def test_unregrown_checkpoint_omits_scale(self, tmp_path, graph):
+        """Scale 1 is not written, so files match the format before the
+        field; a missing key reads back as 1."""
+        nu_lpa(
+            graph, LPAConfig(max_iterations=1), engine="hashtable",
+            resilience=ckpt_config(tmp_path), warn_on_no_convergence=False,
+        )
+        path = sorted((tmp_path / "ckpt").glob("ckpt-*.npz"))[-1]
+        with np.load(path) as data:
+            assert "capacity_scale" not in str(data["meta"])
+        assert CheckpointManager.load(path).capacity_scale == 1
 
     def test_faulted_interrupted_resume_equals_clean_run(self, tmp_path, graph):
         """Acceptance scenario: overflow-faulted, checkpointed, killed,

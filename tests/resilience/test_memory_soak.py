@@ -1,62 +1,53 @@
-"""Smoke test for the memory-pressure soak harness (full run in CI)."""
+"""Smoke test for the memory leg of the soak harness (full run in CI)."""
 
 import numpy as np
 
 from repro.core.config import LPAConfig
 from repro.graph.datasets import generate_standin
-from repro.observe.schema import validate_memory_soak
-from repro.resilience import run_memory_soak
+from repro.observe.schema import validate_soak
+from repro.soak import MemoryLeg, run_soak
+
+
+def _soak(tmp_path, *, seeds, seed, engine="hashtable"):
+    graph = generate_standin("asia_osm", scale=0.05, seed=42)
+    leg = MemoryLeg(graph, LPAConfig(max_iterations=10), engine=engine, seed=seed)
+    return run_soak(leg, tmp_path, seeds=seeds)
 
 
 class TestMemorySoak:
-    def test_two_schedules_pass_and_validate(self):
-        graph = generate_standin("asia_osm", scale=0.05, seed=42)
-        report = run_memory_soak(
-            graph, seeds=2, seed=7, engine="hashtable",
-            config=LPAConfig(max_iterations=10),
-        )
+    def test_two_schedules_pass_and_validate(self, tmp_path):
+        report = _soak(tmp_path, seeds=2, seed=7)
         assert report.ok, report.summary()
         assert report.silent == 0
         assert len(report.records) == 2
-        doc = validate_memory_soak(report.as_dict())
+        doc = validate_soak(report.as_dict())
         for record in doc["records"]:
+            details = record["details"]
             # Pressure actually happened on every schedule.
-            assert record["live"]["ooms"] + record["shrink"]["ooms"] >= 1
-            assert record["admission"]["rejected"]
-            assert record["reconcile"]["within_tolerance"]
-            assert record["reconcile"]["identical"]
-            assert 0.0 < record["reconcile"]["utilization"] <= 1.0 + 0.35
+            assert details["live"]["ooms"] + details["shrink"]["ooms"] >= 1
+            assert details["admission"]["rejected"]
+            assert details["reconcile"]["within_tolerance"]
+            assert details["reconcile"]["identical"]
+            assert 0.0 < details["reconcile"]["utilization"] <= 1.0 + 0.35
 
-    def test_schedules_are_deterministic(self):
-        graph = generate_standin("asia_osm", scale=0.05, seed=42)
-        kwargs = dict(seeds=1, seed=3, engine="hashtable",
-                      config=LPAConfig(max_iterations=10))
-        a = run_memory_soak(graph, **kwargs).as_dict()
-        b = run_memory_soak(graph, **kwargs).as_dict()
+    def test_schedules_are_deterministic(self, tmp_path):
+        a = _soak(tmp_path / "a", seeds=1, seed=3).as_dict()
+        b = _soak(tmp_path / "b", seeds=1, seed=3).as_dict()
         assert a == b
 
-    def test_vectorized_engine_supported(self):
-        graph = generate_standin("asia_osm", scale=0.05, seed=42)
-        report = run_memory_soak(
-            graph, seeds=1, seed=5, engine="vectorized",
-            config=LPAConfig(max_iterations=10),
-        )
+    def test_vectorized_engine_supported(self, tmp_path):
+        report = _soak(tmp_path, seeds=1, seed=5, engine="vectorized")
         assert report.silent == 0
-        record = report.records[0]
-        assert record.admission_rejected
-        assert record.reconcile_identical
-        validate_memory_soak(report.as_dict())
+        details = report.records[0].details
+        assert details["admission"]["rejected"]
+        assert details["reconcile"]["identical"]
+        validate_soak(report.as_dict())
 
-    def test_labels_survive_every_leg(self):
-        graph = generate_standin("asia_osm", scale=0.05, seed=42)
-        report = run_memory_soak(
-            graph, seeds=2, seed=11, engine="hashtable",
-            config=LPAConfig(max_iterations=10),
-        )
+    def test_labels_survive_every_leg(self, tmp_path):
+        report = _soak(tmp_path, seeds=2, seed=11)
         for record in report.records:
-            if record.live_absorbed:
-                assert record.live_valid
-            if record.shrink_absorbed:
-                assert record.shrink_valid
-        assert isinstance(report.as_dict()["records"][0]["memory"], dict)
-        assert np.isfinite(report.records[0].reconcile_deviation)
+            for attack in ("live", "shrink"):
+                if record.details[attack]["absorbed"]:
+                    assert record.details[attack]["valid"]
+        assert isinstance(report.as_dict()["records"][0]["details"]["memory"], dict)
+        assert np.isfinite(report.records[0].details["reconcile"]["deviation"])

@@ -8,8 +8,8 @@ and none executed twice.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service import JobSpec, ServiceConfig, run_service_soak
-from repro.service.soak import ServiceSoakOutcome
+from repro.service import GraphRef, JobSpec, ServiceConfig
+from repro.soak import ServiceLeg, run_soak
 
 #: The workload each schedule replays: mixed datasets and engines.
 WORKLOAD = [
@@ -27,41 +27,31 @@ WORKLOAD = [
 class TestKillRestartSoak:
     @pytest.mark.parametrize("seed", range(20))
     def test_soak_schedule_recovers_bit_identically(self, tmp_path, seed):
-        outcome = run_service_soak(
-            WORKLOAD,
-            journal_dir=tmp_path / "journal",
-            config=ServiceConfig(workers=2),
-            seed=seed,
-        )
-        assert outcome.crashes >= 1, "schedule injected no deaths"
-        assert outcome.lost == []
-        assert outcome.duplicated == []
-        assert outcome.mismatched == []
-        assert outcome.identical == len(WORKLOAD)
-        assert outcome.ok
+        leg = ServiceLeg(WORKLOAD, ServiceConfig(workers=2), seed=seed)
+        record = run_soak(leg, tmp_path, seeds=1).records[0]
+        outcome = record.details
+        assert outcome["crashes"] >= 1, "schedule injected no deaths"
+        assert outcome["lost"] == []
+        assert outcome["duplicated"] == []
+        assert outcome["mismatched"] == []
+        assert outcome["identical"] == len(WORKLOAD)
+        assert record.ok
 
     def test_outcome_serialises(self, tmp_path):
-        outcome = run_service_soak(
-            WORKLOAD[:2],
-            journal_dir=tmp_path / "journal",
-            config=ServiceConfig(workers=1),
-            seed=99,
-        )
-        doc = outcome.as_dict()
+        leg = ServiceLeg(WORKLOAD[:2], ServiceConfig(workers=1), seed=99)
+        doc = run_soak(leg, tmp_path, seeds=1).records[0].as_dict()
         assert doc["ok"] is True
-        assert doc["jobs"] == 2
-        assert isinstance(doc["crashes"], int)
+        assert doc["details"]["jobs"] == 2
+        assert isinstance(doc["details"]["crashes"], int)
 
     def test_in_memory_workload_rejected(self, tmp_path):
-        from repro.service import GraphRef
-
         bad = [JobSpec(job_id="m", graph=GraphRef(kind="memory", name="m"))]
         with pytest.raises(ConfigurationError):
-            run_service_soak(bad, journal_dir=tmp_path / "j")
+            run_soak(ServiceLeg(bad), tmp_path)
 
     def test_outcome_flags_surface_in_ok(self):
-        outcome = ServiceSoakOutcome(
-            seed=0, jobs=2, crashes=1, restarts=1, identical=1,
-            lost=["x"],
-        )
-        assert not outcome.ok
+        record = ServiceLeg(WORKLOAD).verdict({
+            "seed": 0, "jobs": 2, "crashes": 1, "restarts": 1, "identical": 1,
+            "lost": ["x"], "duplicated": [], "mismatched": [],
+        })
+        assert not record.ok

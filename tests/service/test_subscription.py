@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.graph.datasets import generate_standin
-from repro.resilience.chaos import InjectedCrash
 from repro.service import (
     DetectionService,
     GraphRef,
@@ -13,6 +12,7 @@ from repro.service import (
     JobState,
     ServiceConfig,
 )
+from repro.soak import InjectedCrash
 from repro.stream import DeltaLog, StreamProcessor, random_delta_batches
 
 DATASET = "com-Orkut"

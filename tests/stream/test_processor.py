@@ -6,11 +6,10 @@ import pytest
 from repro.errors import StreamError
 from repro.graph.datasets import generate_standin
 from repro.observe.trace import Tracer
-from repro.stream.delta import DeltaBatch, DeltaOp
+from repro.stream.delta import DeltaBatch, DeltaOp, random_delta_batches
 from repro.stream.epoch import EpochJournal
 from repro.stream.log import DeltaLog
 from repro.stream.processor import StreamProcessor
-from repro.stream.soak import random_delta_batches
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,6 @@ import pytest
 
 from repro.graph.datasets import generate_standin
 from repro.observe.trace import Tracer
-from repro.resilience.chaos import InjectedCrash
 from repro.service import (
     DetectionService,
     GraphRef,
@@ -15,6 +14,7 @@ from repro.service import (
     ServiceConfig,
 )
 from repro.service.read import read_header
+from repro.soak import InjectedCrash
 from repro.stream import DeltaLog, StreamProcessor, random_delta_batches
 
 DATASET = "com-Orkut"
