@@ -79,7 +79,7 @@ def _legs(scale: float, seed: int) -> dict:
             web_graph(max(200, int(4800 * scale)), seed=seed), config, seed=seed
         ),
         "service": lambda: ServiceLeg(WORKLOAD, ServiceConfig(workers=2), seed=seed),
-        "stream": lambda: StreamLeg(),
+        "stream": lambda: StreamLeg(seed=seed),
         # ~750 vertices at 0.25: several checkpoint generations, snapshot
         # versions, hashtable regions and arena waves per schedule.
         "integrity": lambda: IntegrityLeg(

@@ -95,9 +95,16 @@ class CSRGraph:
         When true (default) the arrays are checked for structural
         consistency.  Generators that construct provably valid CSR directly
         pass ``validate=False`` to skip the O(M) checks.
+    canonical:
+        The value of :attr:`is_canonical` when the caller already knows it
+        (a splice of a canonical graph stays canonical); ``None`` (default)
+        computes it on first use.
     """
 
-    __slots__ = ("_offsets", "_targets", "_weights", "_degrees", "_has_self_loops")
+    __slots__ = (
+        "_offsets", "_targets", "_weights", "_degrees", "_has_self_loops",
+        "_canonical",
+    )
 
     def __init__(
         self,
@@ -106,6 +113,7 @@ class CSRGraph:
         weights: np.ndarray | None = None,
         *,
         validate: bool = True,
+        canonical: bool | None = None,
     ) -> None:
         # Arrays arriving already in the compact (int32) layout keep it —
         # see :meth:`with_compact_layout`; anything else is normalised to
@@ -130,6 +138,7 @@ class CSRGraph:
         degrees = np.diff(offsets)
         self._degrees = degrees
         self._has_self_loops: bool | None = None
+        self._canonical = canonical
 
         # Freeze the buffers: algorithms share views of these arrays.
         for arr in (self._offsets, self._targets, self._weights, self._degrees):
@@ -181,6 +190,25 @@ class CSRGraph:
                 np.any(self._targets == self._vertex_ids_of_targets())
             )
         return self._has_self_loops
+
+    @property
+    def is_canonical(self) -> bool:
+        """Whether every row is strictly increasing (computed once, O(M)).
+
+        The builders' form: rows sorted by target, no parallel arcs.  The
+        stream layer branches on this: a canonical row is searched by
+        bisection and spliced in place, anything else is first sorted and
+        max-deduplicated like the builders do.
+        """
+        if self._canonical is None:
+            t = self._targets
+            rising = t[1:] > t[:-1]
+            starts = self._offsets[1:-1]
+            # A row boundary may step down; only steps inside a row count.
+            starts = starts[(starts > 0) & (starts < t.shape[0])]
+            rising[starts - 1] = True
+            self._canonical = bool(rising.all())
+        return self._canonical
 
     @property
     def offsets(self) -> np.ndarray:

@@ -6,13 +6,14 @@ before benchmarking, or permuting vertex ids (the degree-sorted order the
 two-kernel partition likes).
 
 The delta helpers (:func:`add_edges`, :func:`remove_edges`,
-:func:`update_weights`) are the mutation primitives of the streaming
-pipeline (:mod:`repro.stream`): each takes an immutable
-:class:`~repro.graph.csr.CSRGraph` plus undirected edge arrays and returns
-a *new* graph with the symmetric-arc invariant enforced — every insert adds
-both directions, every delete removes both, every weight update rewrites
-both.  They are deterministic (same inputs → bit-identical CSR), which is
-what lets a replayed delta log reconstruct a crashed stream's graph exactly.
+:func:`update_weights`) mutate a graph by whole edge arrays: each takes an
+immutable :class:`~repro.graph.csr.CSRGraph` plus undirected edge arrays
+and returns a *new*, fully rebuilt graph with the symmetric-arc invariant
+enforced — every insert adds both directions, every delete removes both,
+every weight update rewrites both.  They are deterministic (same inputs →
+bit-identical CSR).  The streaming pipeline applies small batches with
+its own splice (:func:`repro.stream.epoch.apply_batch`) instead, whose
+output matches a run-by-run application of these helpers.
 """
 
 from __future__ import annotations

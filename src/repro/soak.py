@@ -80,6 +80,7 @@ from repro.graph.datasets import generate_standin
 from repro.integrity.config import IntegrityConfig
 from repro.integrity.fsck import fsck_all
 from repro.observe.schema import SOAK_SCHEMA, SOAK_SCHEMA_VERSION
+from repro.observe.trace import Tracer
 from repro.resilience.checkpoint import CheckpointManager, CheckpointState
 from repro.resilience.faults import FAULT_KINDS, FaultSpec
 from repro.resilience.invariants import check_label_range
@@ -832,7 +833,8 @@ class StreamLeg:
     followed by a fresh service over the surviving journal.  The recovered
     labels and reconstructed CSR arrays must be bit-identical to the
     reference, and the reference gap within :data:`GAP_BOUND`.  Seed *i*
-    uses graph seed *i*.
+    uses graph seed ``seed + i`` and draws from ``default_rng([seed + i,
+    num_batches])``.
 
     The default workload is the ``com-Orkut`` stand-in: dense LFR-style
     communities where warm-started incremental detection and a
@@ -851,6 +853,7 @@ class StreamLeg:
     batch_size: int = 5
     hops: int = 1
     service_deaths: int = 3
+    seed: int = 0
 
     def setup(self, workdir: Path) -> dict:
         return {
@@ -863,8 +866,9 @@ class StreamLeg:
 
     def inject(self, i: int, workdir: Path) -> dict:
         num_batches = self.num_batches
-        rng = np.random.default_rng([i & 0x7FFFFFFF, num_batches])
-        base = generate_standin(self.dataset, scale=self.scale, seed=i)
+        seed = self.seed + i
+        rng = np.random.default_rng([seed & 0x7FFFFFFF, num_batches])
+        base = generate_standin(self.dataset, scale=self.scale, seed=seed)
         batches = random_delta_batches(
             base, rng,
             num_batches=num_batches, batch_size=self.batch_size,
@@ -912,16 +916,16 @@ class StreamLeg:
                 raise InjectedCrash(f"scheduled death at epoch {key[0]} {point}")
 
         return {
-            "seed": i,
+            "seed": seed,
             "base": base,
             "reference": reference,
             "producer_deaths": producer_deaths,
             "torn_tails": torn,
             "seen_epoch": seen_epoch,
             "spec": JobSpec(
-                job_id=f"stream-{i}",
+                job_id=f"stream-{seed}",
                 graph=GraphRef(kind="dataset", name=self.dataset,
-                               scale=self.scale, seed=i),
+                               scale=self.scale, seed=seed),
                 kind="subscription",
                 stream_dir=str(chaos_dir / "wal"),
                 hops=self.hops,
@@ -1115,7 +1119,8 @@ class IntegrityLeg:
 
     def recover(self, trial: dict) -> dict:
         reference, live = trial["reference"], trial["live"]
-        checkpoint = {"flip": "", "detected": True, "identical": True}
+        # No checkpoint was written, so none was flipped: nothing to detect.
+        checkpoint = {"flip": "", "detected": False, "identical": True}
         if trial["ckpt_flip"]:
             # fsck first: the resumed run rewrites the ring as it goes.
             detected = fsck_all(trial["ckpt_dir"]).damaged > 0
@@ -1193,8 +1198,8 @@ class IntegrityLeg:
 # --------------------------------------------------------------------- #
 
 
-def _count_ooms(result) -> int:
-    return sum(1 for ev in result.fault_events if ev.fault == "DeviceOomError")
+def _count_ooms(events) -> int:
+    return sum(1 for ev in events if ev.fault == "DeviceOomError")
 
 
 @dataclass
@@ -1231,10 +1236,11 @@ class MemoryLeg:
     engine: str = "hashtable"
     seed: int = 0
 
-    def _run(self, config: LPAConfig, resilience: ResilienceConfig | None = None):
+    def _run(self, config: LPAConfig, resilience: ResilienceConfig | None = None,
+             tracer: Tracer | None = None):
         return nu_lpa(
             self.graph, config, engine=self.engine,
-            warn_on_no_convergence=False, resilience=resilience,
+            warn_on_no_convergence=False, resilience=resilience, tracer=tracer,
         )
 
     def setup(self, workdir: Path) -> dict:
@@ -1249,20 +1255,30 @@ class MemoryLeg:
             "tolerance": ESTIMATE_TOLERANCE,
         }
 
-    def _storm(self, budget_factor: float, spec: FaultSpec, oom_cap: int):
+    def _storm(self, budget_factor: float, spec: FaultSpec):
         """One OOM-injected run: ``(fields, result)``, ``result`` ``None``
-        when every rung was spent and the run refused with a typed error."""
+        when every rung was spent and the run refused with a typed error.
+
+        ``ooms`` counts the OOMs the supervisor recorded; when the run
+        raised, from the trace's ladder steps (``result.fault_events``'
+        twins).
+        """
+        trace = Tracer()
         try:
             result = self._run(
                 self.config.with_(memory_budget_bytes=int(
                     self._footprint * budget_factor
                 )),
                 ResilienceConfig(faults=spec, max_retries=8),
+                tracer=trace,
             )
         except DeviceOomError:
-            return {"ooms": oom_cap, "absorbed": False, "valid": True}, None
+            return {
+                "ooms": _count_ooms(trace.of_kind("fault_rung")),
+                "absorbed": False, "valid": True,
+            }, None
         return {
-            "ooms": _count_ooms(result),
+            "ooms": _count_ooms(result.fault_events),
             "absorbed": True,
             "valid": _valid_labels(result.labels, self.graph),
         }, result
@@ -1277,7 +1293,7 @@ class MemoryLeg:
         )
         # Tight: real headroom above the analytic estimate, so the run
         # starts, but every injected shrink bites.
-        live, result = self._storm(float(rng.uniform(1.2, 2.0)), spec, spec.max_fires)
+        live, result = self._storm(float(rng.uniform(1.2, 2.0)), spec)
         live["identical"] = result is not None and bool(
             np.array_equal(result.labels, self._reference)
         )
@@ -1308,7 +1324,7 @@ class MemoryLeg:
             rate=float(rng.uniform(0.1, 0.4)),
             seed=int(rng.integers(0, 2**31)),
             max_fires=1,
-        ), 1)
+        ))
         return {
             "seed": self.seed + i,
             "live": live,

@@ -27,6 +27,7 @@ funnels them through the same report and dead-letter plumbing.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 from dataclasses import dataclass, field
@@ -378,11 +379,14 @@ def random_delta_batches(
     Tracks the evolving edge set so every remove/update names an edge
     that exists at its point in the sequence (the soak exercises crash
     recovery, not quarantine).  ``grow_every`` > 0 adds one new vertex
-    (wired to a random existing one) every that many batches.
+    (wired to a random existing one) every that many batches.  The set is
+    also kept as one sorted list, updated by bisection, from which removes
+    and updates draw their edge by index.
     """
     edges: set[tuple[int, int]] = set()
     for s, d in zip(graph.source_ids().tolist(), graph.targets.tolist()):
         edges.add((min(s, d), max(s, d)))
+    ordered = sorted(edges)
     n = graph.num_vertices
     batches: list[DeltaBatch] = []
     for b in range(num_batches):
@@ -391,7 +395,8 @@ def random_delta_batches(
         if grow_every and (b + 1) % grow_every == 0:
             anchor = int(rng.integers(n))
             ops.append(DeltaOp("add", anchor, n, weight=1.0))
-            edges.add((min(anchor, n), max(anchor, n)))
+            edges.add((anchor, n))
+            bisect.insort(ordered, (anchor, n))
             num_vertices = n + 1
             n += 1
         while len(ops) < batch_size:
@@ -402,13 +407,16 @@ def random_delta_batches(
                 if a == c or key in edges:
                     continue
                 edges.add(key)
+                bisect.insort(ordered, key)
                 ops.append(DeltaOp("add", a, c, weight=float(rng.uniform(0.5, 2.0))))
             elif not edges:
                 continue
             else:
-                key = sorted(edges)[int(rng.integers(len(edges)))]
+                index = int(rng.integers(len(edges)))
+                key = ordered[index]
                 if kind == "remove":
                     edges.discard(key)
+                    del ordered[index]
                     ops.append(DeltaOp("remove", key[0], key[1]))
                 else:
                     ops.append(DeltaOp(

@@ -85,3 +85,18 @@ class TestRecordAccounting:
         )
         assert record.silent == 0
         assert record.ok
+
+
+class TestUnflippedCheckpoint:
+    def test_no_checkpoint_is_not_a_detection(self, tmp_path):
+        # A run that wrote no checkpoint had nothing flipped: the attack
+        # is harmless, and it must not count toward the detection gate.
+        leg = IntegrityLeg(web_graph(120, seed=9), seed=0)
+        leg.setup(tmp_path)
+        trial = leg.inject(0, tmp_path / "seed")
+        trial["ckpt_flip"] = ""
+        outcome = leg.recover(trial)
+        assert outcome["checkpoint"] == {
+            "flip": "", "detected": False, "identical": True,
+        }
+        assert leg.verdict(outcome).verdicts["checkpoint"] == "absorbed-identical"

@@ -3,8 +3,11 @@
 import numpy as np
 
 from repro.core.config import LPAConfig
+from repro.errors import DeviceOomError
 from repro.graph.datasets import generate_standin
 from repro.observe.schema import validate_soak
+from repro.observe.trace import FaultRungEvent
+from repro.resilience.faults import FaultSpec
 from repro.soak import MemoryLeg, run_soak
 
 
@@ -51,3 +54,34 @@ class TestMemorySoak:
                     assert record.details[attack]["valid"]
         assert isinstance(report.as_dict()["records"][0]["details"]["memory"], dict)
         assert np.isfinite(report.records[0].details["reconcile"]["deviation"])
+
+
+class TestTypedStormCounts:
+    """A storm that ends in a typed refusal counts the OOMs it recorded."""
+
+    def _storm(self, monkeypatch, events):
+        leg = MemoryLeg(generate_standin("asia_osm", scale=0.05, seed=42),
+                        LPAConfig(max_iterations=10))
+        leg.setup(None)
+
+        def refused(config, resilience=None, tracer=None):
+            for event in events:
+                tracer.emit(event)
+            raise DeviceOomError("budget spent")
+
+        monkeypatch.setattr(leg, "_run", refused)
+        return leg._storm(1.5, FaultSpec(kinds=("oom",), rate=1.0, seed=1,
+                                         max_fires=3))
+
+    def test_counts_recorded_ooms_not_the_cap(self, monkeypatch):
+        rung = FaultRungEvent(iteration=2, attempt=0, fault="DeviceOomError",
+                              action="shrink-tables")
+        other = FaultRungEvent(iteration=2, attempt=1, fault="KernelTimeoutError",
+                               action="retry")
+        fields, result = self._storm(monkeypatch, [rung, other, rung])
+        assert result is None
+        assert fields == {"ooms": 2, "absorbed": False, "valid": True}
+
+    def test_refusal_before_any_fire_counts_zero(self, monkeypatch):
+        fields, _ = self._storm(monkeypatch, [])
+        assert fields["ooms"] == 0

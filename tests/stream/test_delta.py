@@ -1,13 +1,18 @@
 """Tests for delta batches, validation policies, and the dead letter."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.errors import DeltaValidationError
+from repro.graph.datasets import generate_standin
 from repro.stream.delta import (
     DeadLetterFile,
     DeltaBatch,
     DeltaOp,
+    random_delta_batches,
     validate_batch,
 )
 
@@ -158,3 +163,27 @@ class TestDeadLetterFile:
 
     def test_missing_file_is_empty(self, tmp_path):
         assert DeadLetterFile(tmp_path / "nope.jsonl").entries() == []
+
+
+class TestRandomDeltaBatches:
+    @pytest.mark.parametrize("dataset,scale,seed,num_batches,batch_size,grow_every,digest", [
+        ("com-Orkut", 0.03, 0, 6, 5, 3,
+         "2204c68df1db0548d16d7282fbf269f500c409e0a534c94df8ea18aea2a33dbc"),
+        ("com-Orkut", 0.03, 7, 6, 5, 3,
+         "12eefb46aa8e45ca7364ec9f272417178e9b17a6a0fb30dcc60babf0d1964af4"),
+        ("asia_osm", 0.05, 3, 8, 6, 2,
+         "2609f9072bce51671afdaaf08ec0be19fc3d513257fa632781b333872c387ef0"),
+        ("it-2004", 0.02, 1, 4, 10, 0,
+         "6ee7fae875bfabfe09843b8701d2002eee3374ffca35a23eb8f9c5c66017f2f1"),
+    ])
+    def test_pinned_batches(self, dataset, scale, seed, num_batches, batch_size,
+                            grow_every, digest):
+        """Fixed seeds give byte-identical batches (the soaks replay them)."""
+        graph = generate_standin(dataset, scale=scale, seed=seed)
+        batches = random_delta_batches(
+            graph, np.random.default_rng([seed, num_batches]),
+            num_batches=num_batches, batch_size=batch_size,
+            grow_every=grow_every,
+        )
+        blob = json.dumps([b.as_dict() for b in batches], sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
